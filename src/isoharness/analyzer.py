@@ -11,7 +11,8 @@ both levels at RC or above, the only concurrent pairs permitted are r_w with
 the reader at RC, and pr_w with the predicate reader at RC or RR; everything
 else is a violation when it executes concurrently.  A blocked second
 operation in a permitted pair that never got through before the first
-transaction terminated is the over-restrictive case.  RU transactions are
+transaction terminated is the over-restrictive case, unless a non-permitted
+pair with the same first transaction explains the block.  RU transactions are
 read only: their reads pair with nothing, and any successful RU write is
 itself a finding.
 """
@@ -129,6 +130,7 @@ class ConflictPair:
 
 @dataclass
 class Judgment:
+    pairs: List[ConflictPair] = field(default_factory=list)
     violations: List[ConflictPair] = field(default_factory=list)
     over_restrictive: List[ConflictPair] = field(default_factory=list)
     ru_writes: List[OutputRecord] = field(default_factory=list)
@@ -293,7 +295,7 @@ def judge(pairs: List[ConflictPair], levels: Dict[int, IsolationLevel],
     ``ru_writes`` carries successful write records of RU transactions (a
     finding on their own, since RU transactions must be read only).
     """
-    out = Judgment(ru_writes=list(ru_writes or []))
+    out = Judgment(pairs=list(pairs), ru_writes=list(ru_writes or []))
     for pair in pairs:
         l1 = levels.get(pair.first.txn)
         l2 = levels.get(pair.second.txn)
@@ -312,7 +314,12 @@ def judge(pairs: List[ConflictPair], levels: Dict[int, IsolationLevel],
         permitted = _permitted(pair.cls, l1)
         if pair.concurrent and not permitted:
             out.violations.append(pair)
-        elif pair.second_blocked and permitted and not pair.concurrent:
+        elif pair.second_blocked and permitted and not pair.concurrent and not any(
+            # a non-permitted pair with the same blocked op and first txn explains the block
+            other.second is pair.second and other.first.txn == pair.first.txn
+            and not _permitted(other.cls, l1)
+            for other in pairs
+        ):
             out.over_restrictive.append(pair)
     return out
 

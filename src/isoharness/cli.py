@@ -6,8 +6,8 @@ analyze each output, and report a class-by-level-pair grid.  On the
 reference configuration (per-level strictness) any VIOLATION or
 OVER_RESTRICTIVE cell fails the command.
 
-The HISTEX_TIMEOUT environment variable overrides the default per-operation
-timeout (seconds).
+The HISTEX_TIMEOUT environment variable overrides the default timeout
+(seconds), which only sets the stuck guard.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analyzer import (
-    Judgment,
-    Verdict,
-    detect_pairs,
-    header_levels,
-    judge,
-    ru_write_records,
-)
+from .analyzer import Judgment, Verdict, analyze_history
 from .dataset import build_canonical_table, dump_tsv
 from .engine import EngineConfig, LockScope, Strictness
 from .executor import ExecutorConfig, Mode, run_history
@@ -54,9 +47,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help="shorthand for --mode async",
     )
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-operation timeout in seconds (default 2 or HISTEX_TIMEOUT)")
-    parser.add_argument("--global-timeout", type=float, default=None,
-                        help="stuck-history timeout (default 4x timeout)")
+                        help="a request running 4x this many seconds ends the run as stuck"
+                             " (default 2 or HISTEX_TIMEOUT)")
     parser.add_argument("--default-level", choices=("RU", "RC", "RR", "SR"), default=None)
     parser.add_argument("--rows", type=int, default=200, help="table size, multiple of 100")
     parser.add_argument("--lock-scope", choices=("predicate", "incremental"), default="predicate")
@@ -79,7 +71,6 @@ def _exec_config(args) -> ExecutorConfig:
     return ExecutorConfig(
         mode=Mode.SYNC if args.mode == "sync" else Mode.ASYNC,
         timeout=timeout,
-        global_timeout=args.global_timeout,
         default_level=level,
         rows=args.rows,
         engine=engine,
@@ -149,19 +140,12 @@ class CampaignReport:
         ]
 
 
-def _judge_run(output: OutputHistory) -> Tuple[list, Judgment]:
-    levels = header_levels(output)
-    pairs = detect_pairs(output)
-    judgment = judge(pairs, levels, ru_write_records(output, levels))
-    return pairs, judgment
-
-
-def _cell_outcome(pairs, judgment: Judgment, intended_cls: str) -> str:
+def _cell_outcome(judgment: Judgment, intended_cls: str) -> str:
     if judgment.verdict is Verdict.VIOLATION:
         return "VIOLATION"
     if judgment.verdict is Verdict.OVER_RESTRICTIVE:
         return "OVER_RESTRICTIVE"
-    intended = [p for p in pairs if p.cls == intended_cls]
+    intended = [p for p in judgment.pairs if p.cls == intended_cls]
     if any(p.concurrent for p in intended):
         return "EXECUTED"
     if any(p.second_blocked for p in intended):
@@ -189,7 +173,7 @@ def run_campaign(base_config: ExecutorConfig,
     def run_one(prog: HistoryProgram) -> CellResult:
         config = replace(base_config, engine=replace(base_config.engine), verbose=False)
         output = run_history(prog, config)
-        pairs, judgment = _judge_run(output)
+        judgment = analyze_history(output)
         meta = prog.metadata
         cls = meta.get("class", "?")
         return CellResult(
@@ -198,7 +182,7 @@ def run_campaign(base_config: ExecutorConfig,
             l1=meta.get("l1", "?"),
             l2=meta.get("l2", "?"),
             name=prog.source_name,
-            outcome=_cell_outcome(pairs, judgment, cls),
+            outcome=_cell_outcome(judgment, cls),
             verdict=judgment.verdict,
             output=output,
         )
@@ -281,7 +265,7 @@ def cmd_analyze(args) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             status = 1
             continue
-        pairs, judgment = _judge_run(output)
+        judgment = analyze_history(output)
         verdict = judgment.verdict
         counts[verdict.value] += 1
         details = []

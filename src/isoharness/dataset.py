@@ -10,7 +10,7 @@ there is no physical index structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from .notation import (
     PredicateExpr,
@@ -62,15 +62,6 @@ class CanonicalTable:
     rows: Dict[int, Row] = field(default_factory=dict)
     indexed_columns: set = field(default_factory=lambda: set(DEFAULT_INDEXED_COLUMNS))
     row_count: int = 0
-
-    def get(self, reckey: int) -> Optional[Row]:
-        return self.rows.get(reckey)
-
-    def live(self, reckey: int) -> Optional[Row]:
-        row = self.rows.get(reckey)
-        if row is None or row.tombstone:
-            return None
-        return row
 
     def keys_ascending(self) -> list:
         return sorted(self.rows)

@@ -20,8 +20,16 @@ conflicting waiter.
 
 Engine calls may block the calling thread until the request is granted or
 the transaction is chosen as a deadlock victim (youngest in the cycle, by
-begin order).  The shared state is guarded by one mutex which is never held
-while waiting.
+begin order).  The victim is rolled back by the thread that finds the cycle,
+in the same critical section.  The shared state is guarded by one mutex which
+is never held while waiting.
+
+Every effect (begin, op applied, request parked or granted, commit, abort)
+takes the next engine event number under the mutex; ``TxnState.last_event``
+is the latest one of each transaction.  An engine given a ``notify``
+callback posts ``(event, txn, PARK)`` when it parks a lock request and
+``(event, txn, WAKE)`` when it grants a parked request or picks it as a
+deadlock victim, also under the mutex, so posts arrive in engine order.
 """
 
 from __future__ import annotations
@@ -80,6 +88,10 @@ class EngineShutdown(EngineError):
     """Pending request abandoned because the engine is shutting down."""
 
     code = "Abandoned"
+
+
+PARK = "PARK"
+WAKE = "WAKE"
 
 
 class LockMode(Enum):
@@ -199,6 +211,7 @@ class TxnState:
     status: TxnStatus = TxnStatus.ACTIVE
     cursors: Dict[str, CursorState] = field(default_factory=dict)
     undo: List[WriteImage] = field(default_factory=list)
+    last_event: int = 0
 
 
 @dataclass
@@ -206,14 +219,6 @@ class EngineConfig:
     lock_scope: LockScope = LockScope.PREDICATE
     strictness: Strictness = Strictness.PER_LEVEL
     ru_writes_allowed: bool = False
-    victim_rule: str = "youngest"
-    wait_policy: str = "fifo"
-
-    def __post_init__(self):
-        if self.victim_rule != "youngest":
-            raise ValueError(f"unsupported victim rule {self.victim_rule!r}")
-        if self.wait_policy != "fifo":
-            raise ValueError(f"unsupported wait policy {self.wait_policy!r}")
 
 
 @dataclass
@@ -233,9 +238,11 @@ _INF = math.inf
 
 
 class Engine:
-    def __init__(self, table: CanonicalTable, config: Optional[EngineConfig] = None):
+    def __init__(self, table: CanonicalTable, config: Optional[EngineConfig] = None,
+                 notify: Optional[Callable[[tuple], None]] = None):
         self.table = table
         self.config = config or EngineConfig()
+        self._notify = notify
         self.txns: Dict[int, TxnState] = {}
         self.lock_events: List[LockEvent] = []
         self._mu = threading.Lock()
@@ -255,6 +262,7 @@ class Engine:
             self._begin_counter += 1
             state = TxnState(txn=txn, level=level, begin_seq=self._begin_counter)
             self.txns[txn] = state
+            self._stamp(state)
             return state
 
     def commit(self, txn: int) -> None:
@@ -270,6 +278,7 @@ class Engine:
             st.undo.clear()
             st.cursors.clear()
             st.status = TxnStatus.COMMITTED
+            self._stamp(st)
             self._release_all(st, "TERMINATION")
 
     def rollback(self, txn: int) -> None:
@@ -288,12 +297,16 @@ class Engine:
         st.undo.clear()
         st.cursors.clear()
         st.status = TxnStatus.ABORTED
+        self._stamp(st)
         self._release_all(st, "TERMINATION")
 
     def _require_active(self, txn: int) -> TxnState:
+        """The transaction's state, stamped so an operation that fails
+        without an effect still has an event number of its own."""
         st = self.txns.get(txn)
         if st is None:
             raise UnknownTxn(f"transaction {txn} never began")
+        self._stamp(st)
         if st.status not in (TxnStatus.ACTIVE, TxnStatus.BLOCKED):
             raise UnknownTxn(f"transaction {txn} is {st.status.value}")
         return st
@@ -350,6 +363,16 @@ class Engine:
                 return g
         return None
 
+    def _stamp(self, st: TxnState) -> int:
+        self._event_counter += 1
+        st.last_event = self._event_counter
+        return self._event_counter
+
+    def _post(self, st: TxnState, what: str) -> None:
+        event = self._stamp(st)
+        if self._notify is not None:
+            self._notify((event, st.txn, what))
+
     def _log(self, txn, action, resource, mode, duration, reason=""):
         self._event_counter += 1
         self.lock_events.append(
@@ -385,9 +408,10 @@ class Engine:
                 remaining.append(req)
                 continue
             self._grant_now(req)
-            st = self.txns.get(req.txn)
-            if st is not None and st.status is TxnStatus.BLOCKED:
+            st = self.txns[req.txn]
+            if st.status is TxnStatus.BLOCKED:  # parked, not the requester itself
                 st.status = TxnStatus.ACTIVE
+                self._post(st, WAKE)
             woke.append(req)
         self._waiters = remaining
         for req in woke:
@@ -435,19 +459,21 @@ class Engine:
         return None
 
     def _resolve_deadlocks(self, requester: _LockRequest) -> None:
-        while True:
-            edges = self._waits_for_edges()
-            cycle = self._cycle_through(requester.txn, edges)
+        """Break every wait cycle through the requester by rolling back the
+        youngest member of each; the rollback may grant the request."""
+        while requester.outcome is None:
+            cycle = self._cycle_through(requester.txn, self._waits_for_edges())
             if cycle is None:
                 return
-            victim_txn = max(cycle, key=lambda t: self.txns[t].begin_seq)
-            for req in self._waiters:
-                if req.txn == victim_txn and req.outcome is None:
-                    req.outcome = _Outcome.DEADLOCK
-                    req.event.set()
-            self._waiters = [r for r in self._waiters if r.txn != victim_txn]
-            if victim_txn == requester.txn:
-                return
+            victim = self.txns[max(cycle, key=lambda t: self.txns[t].begin_seq)]
+            doomed = [r for r in self._waiters if r.txn == victim.txn]
+            self._waiters = [r for r in self._waiters if r.txn != victim.txn]
+            if victim.status is TxnStatus.BLOCKED:
+                self._post(victim, WAKE)
+            self._rollback_locked(victim)
+            for req in doomed:  # woken last: the victim reads no lock state
+                req.outcome = _Outcome.DEADLOCK
+                req.event.set()
 
     def _acquire(self, st: TxnState, resource, mode: LockMode, duration: LockDuration,
                  intent: Optional[Callable[[], list]] = None) -> Tuple[LockGrant, bool]:
@@ -455,8 +481,8 @@ class Engine:
 
         Returns (grant, fresh): ``fresh`` is False when an identical grant was
         already held (nothing to release at op end).  Raises
-        :class:`DeadlockAbort` after rolling the transaction back if it was
-        picked as a deadlock victim while waiting.
+        :class:`DeadlockAbort` if the transaction was picked as a deadlock
+        victim, by then already rolled back.
         """
         with self._mu:
             if self._shutdown:
@@ -470,20 +496,16 @@ class Engine:
             if not self._blockers(req, self._waiters):
                 return self._grant_now(req), True
             self._waiters.append(req)
-            st.status = TxnStatus.BLOCKED
             self._resolve_deadlocks(req)
-            if req.outcome is _Outcome.DEADLOCK:
-                self._rollback_locked(st)
-                raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
+            if req.outcome is None:
+                st.status = TxnStatus.BLOCKED
+                self._post(st, PARK)
         req.event.wait()
-        with self._mu:
-            if req.outcome is _Outcome.GRANTED:
-                st.status = TxnStatus.ACTIVE
-                return req.grant, True
-            if req.outcome is _Outcome.DEADLOCK:
-                self._rollback_locked(st)
-                raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
-            raise EngineShutdown("pending lock request abandoned")
+        if req.outcome is _Outcome.GRANTED:
+            return req.grant, True
+        if req.outcome is _Outcome.DEADLOCK:
+            raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
+        raise EngineShutdown("pending lock request abandoned")
 
     # ------------------------------------------------------------ inspection
 
@@ -494,10 +516,6 @@ class Engine:
                 if req.txn == txn and req.outcome is None:
                     return "WAITING"
             return None
-
-    def waiting_txns(self) -> set:
-        with self._mu:
-            return {r.txn for r in self._waiters if r.outcome is None}
 
     def held_locks(self, txn: int) -> list:
         with self._mu:
@@ -511,27 +529,6 @@ class Engine:
                     req.outcome = _Outcome.ABANDONED
                     req.event.set()
             self._waiters = []
-
-    def detect_deadlock(self) -> Optional[int]:
-        """Victim the youngest member of any wait cycle, or return None.
-
-        Normal operation resolves deadlocks at request time; this entry point
-        exists for direct inspection and for safety sweeps.
-        """
-        with self._mu:
-            edges = self._waits_for_edges()
-            for start in list(edges):
-                cycle = self._cycle_through(start, edges)
-                if cycle is None:
-                    continue
-                victim_txn = max(cycle, key=lambda t: self.txns[t].begin_seq)
-                for req in self._waiters:
-                    if req.txn == victim_txn and req.outcome is None:
-                        req.outcome = _Outcome.DEADLOCK
-                        req.event.set()
-                self._waiters = [r for r in self._waiters if r.txn != victim_txn]
-                return victim_txn
-            return None
 
     # ------------------------------------------------------------- item ops
 
@@ -572,6 +569,7 @@ class Engine:
         grant, fresh = self._acquire(st, ItemResource(reckey), LockMode.S, duration)
         try:
             with self._mu:
+                self._stamp(st)
                 row = self.table.rows.get(reckey)
                 if row is None or row.tombstone:
                     raise RowNotFound(f"no row with reckey {reckey}")
@@ -611,6 +609,7 @@ class Engine:
             intent=self._write_intent(reckey, column_values),
         )
         with self._mu:
+            self._stamp(st)
             row = self.table.rows.get(reckey)
             if row is None or row.tombstone:
                 raise RowNotFound(f"no row with reckey {reckey}")
@@ -635,6 +634,7 @@ class Engine:
             intent=self._write_intent(reckey, None),
         )
         with self._mu:
+            self._stamp(st)
             row = self.table.rows.get(reckey)
             if row is None or row.tombstone:
                 raise RowNotFound(f"no row with reckey {reckey}")
@@ -697,6 +697,7 @@ class Engine:
             intent=(lambda: [values]) if not reserve_now else None,
         )
         with self._mu:
+            self._stamp(st)
             if reserve_now:
                 self.table.rows[key].tombstone = False
                 grant.intent = None
@@ -724,6 +725,7 @@ class Engine:
 
         grant, _ = self._acquire(st, ItemResource(reckey), LockMode.X, LockDuration.LONG, intent=intent)
         with self._mu:
+            self._stamp(st)
             row = self.table.rows.get(reckey)
             if row is None or row.tombstone:
                 raise RowNotFound(f"no row with reckey {reckey}")
@@ -853,6 +855,7 @@ class Engine:
                         cursor.frontier = max(cursor.frontier, tail.high)
             closed = False
             with self._mu:
+                self._stamp(st)
                 if drain:
                     cursor.open = False
                     st.cursors.pop(pred_var, None)
@@ -885,6 +888,7 @@ class Engine:
             with self._mu:
                 key = self._next_match(st, predicate, position)
                 if key is None:
+                    self._stamp(st)
                     break
             grant, _ = self._acquire(
                 st, ItemResource(key), LockMode.X, LockDuration.LONG,
@@ -922,6 +926,7 @@ class Engine:
                 if fresh and grant.duration is LockDuration.SHORT:
                     short_grants.append(grant)
             with self._mu:
+                self._stamp(st)
                 if aggregate == "count":
                     return sum(1 for _ in self._iter_matches(st, predicate))
                 return sum(row.values["recval"] for row in self._iter_matches(st, predicate))

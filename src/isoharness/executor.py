@@ -4,23 +4,27 @@ The monitor owns variable bindings, turns steps into newline-terminated text
 frames, and sends them to one worker thread per transaction.  Workers parse
 frames, call the engine (possibly blocking inside it), and respond with
 ``SUCCESS ...`` or ``FAILURE <code> ...`` frames.  The monitor never touches
-table or lock state through anything but these channels; it may only ask the
-engine's scheduler whether a transaction currently has a pending lock
-request, which is what lets it declare a step BLOCKED deterministically.
+table or lock state through anything but these channels.
 
-Synchronous mode submits one step at a time.  A step that blocks is recorded
-BLOCKED and its transaction's later steps are deferred; steps of other
-transactions continue.  When a pending operation completes, a RESUMED (or
-terminal) record is appended and the deferred steps run.  Asynchronous mode
-submits steps in program order until it reaches a step of a transaction with
-an outstanding operation, then waits for any worker to respond.
+Everything the monitor waits for arrives on one inbox: each worker response
+with the engine event number of the request's last effect, and the engine's
+PARK and WAKE posts for lock requests.  One loop serves both modes.  It
+submits steps, waits until no submitted request is running (each has
+responded or is parked in the lock table), then records what completed or
+parked in engine event order.  So BLOCKED means "parked in the lock table",
+and the output history is the engine's own order.
+
+The mode decides only how far submission runs before the loop waits.
+Synchronous mode submits one step; the steps of a transaction whose request
+is parked are set aside until it completes, while steps of other
+transactions continue.  Asynchronous mode submits steps in program order up
+to the first step of a transaction with an outstanding request.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +32,8 @@ from typing import Dict, List, Optional, Tuple
 from . import outhist
 from .dataset import build_canonical_table
 from .engine import (
+    PARK,
+    WAKE,
     DeadlockAbort,
     Engine,
     EngineConfig,
@@ -55,9 +61,7 @@ from .outhist import (
     STATUS_OK,
     STATUS_READONLY,
     STATUS_RESUMED,
-    WriteImage,
-    decode_image_side,
-    decode_values,
+    decode_fields,
     encode_image_side,
     encode_values,
 )
@@ -75,21 +79,15 @@ class Mode(Enum):
 @dataclass
 class ExecutorConfig:
     mode: Mode = Mode.SYNC
+    # Sets only the stuck guard: a request running 4 * timeout without any
+    # word from the workers or the engine ends the run as stuck.
     timeout: float = 2.0
-    global_timeout: Optional[float] = None  # default: 4 * timeout
     # None: honor the program's default_level metadata, falling back to RC.
     default_level: Optional[IsolationLevel] = None
     rows: int = 200
     engine: EngineConfig = field(default_factory=EngineConfig)
     indexes: bool = True
     verbose: bool = False
-    # In SYNC mode a request observed waiting in the lock table cannot
-    # resolve before the monitor acts, so BLOCKED can be declared before the
-    # timeout elapses without changing any outcome.
-    fast_block_detect: bool = True
-
-    def stuck_timeout(self) -> float:
-        return self.global_timeout if self.global_timeout is not None else 4 * self.timeout
 
 
 @dataclass
@@ -97,7 +95,6 @@ class BindingEnv:
     row_vars: Dict[str, int] = field(default_factory=dict)
     value_vars: Dict[str, int] = field(default_factory=dict)
     pred_vars: Dict[str, PredicateExpr] = field(default_factory=dict)
-    pred_cursors: Dict[Tuple[int, str], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -209,13 +206,18 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
 
 
 class Worker:
-    """One long-lived thread per transaction, driven by framed messages."""
+    """One long-lived thread per transaction, driven by framed messages.
 
-    def __init__(self, txn: int, engine: Engine):
+    Each response is posted to ``responses``, shared by all workers of a
+    run, as ``(event, txn, response)``: ``event`` is the engine event number
+    of the request's last effect.
+    """
+
+    def __init__(self, txn: int, engine: Engine, responses: "queue.SimpleQueue[tuple]"):
         self.txn = txn
         self.engine = engine
         self.requests: "queue.SimpleQueue[str]" = queue.SimpleQueue()
-        self.responses: "queue.SimpleQueue[str]" = queue.SimpleQueue()
+        self.responses = responses
         self.thread = threading.Thread(target=self._run, daemon=True, name=f"txn-worker-{txn}")
         self.thread.start()
 
@@ -235,7 +237,10 @@ class Worker:
             except Exception as exc:  # keep the channel alive no matter what
                 detail = str(exc).replace("\n", " ")
                 response = f"FAILURE InternalError {type(exc).__name__}: {detail}\n"
-            self.responses.put(response)
+            # Other threads stamp this transaction only while it has a parked
+            # request, so once the request returns the number read is final.
+            state = self.engine.txns.get(self.txn)
+            self.responses.put((state.last_event if state else 0, self.txn, response))
             if frame.strip() == "FINALIZE":
                 return
 
@@ -245,13 +250,11 @@ class Worker:
 
 @dataclass
 class _Pending:
-    step_index: int
     step: Step
     op_text: str
     submit_seq: int
     dispatch: DispatchRecord
     blocked_seq: Optional[int] = None  # seq of the BLOCKED record, once emitted
-    submitted_at: float = 0.0
 
 
 class Monitor:
@@ -261,13 +264,17 @@ class Monitor:
         self.table = build_canonical_table(self.config.rows)
         if not self.config.indexes:
             self.table.indexed_columns = set()
-        self.engine = Engine(self.table, self.config.engine)
+        # The engine's callback holds only the inbox, not the monitor.
+        self.inbox: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
+        self.engine = Engine(self.table, self.config.engine, notify=self.inbox.put)
         self.env = BindingEnv()
         self.workers: Dict[int, Worker] = {}
         self.levels: Dict[int, IsolationLevel] = {}
         self.records: List[OutputRecord] = []
         self.dispatch: List[DispatchRecord] = []
-        self.pending: Dict[int, _Pending] = {}
+        # txn -> its outstanding request; None for an implicit BEGIN
+        self.pending: Dict[int, Optional[_Pending]] = {}
+        self.running: set = set()  # pending transactions not parked
         self.deferred: Dict[int, List[Tuple[int, Step]]] = {}
         self.stuck = False
         self._submit_seq = 0
@@ -296,24 +303,13 @@ class Monitor:
             print(outhist._record_line(rec))
         return rec
 
-    def _worker(self, txn: int) -> Worker:
+    def _send(self, txn: int, frame: str, pend: Optional[_Pending]) -> None:
         worker = self.workers.get(txn)
         if worker is None:
-            worker = Worker(txn, self.engine)
-            self.workers[txn] = worker
-        return worker
-
-    def _begin(self, txn: int, level: IsolationLevel) -> str:
-        worker = self._worker(txn)
-        worker.send(build_frame("BEGIN", level.name))
-        response = worker.responses.get()
-        if response.startswith("SUCCESS"):
-            self.levels[txn] = level
-        return response
-
-    def _ensure_begun(self, txn: int) -> None:
-        if txn not in self.levels:
-            self._begin(txn, self._default_level())
+            worker = self.workers[txn] = Worker(txn, self.engine, self.inbox)
+        worker.send(frame)
+        self.pending[txn] = pend
+        self.running.add(txn)
 
     # ------------------------------------------------------------- bindings
 
@@ -385,21 +381,14 @@ class Monitor:
             return build_frame("SS", agg, compact), None
         raise ValueError(f"cannot resolve step kind {k}")
 
-    def _apply_result_bindings(self, step: Step, values, extras: dict) -> None:
+    def _apply_result_bindings(self, step: Step, values: list) -> None:
         k = step.kind
         if k in (OpKind.R, OpKind.RW) and step.value_var and values:
             self.env.value_vars[step.value_var] = values[0]
         elif k is OpKind.I:
-            new_key = extras.get("key")
-            if step.row_var and new_key is not None:
-                self.env.row_vars[step.row_var] = new_key
+            if step.row_var and values:
+                self.env.row_vars[step.row_var] = values[0]  # the new key
         elif k is OpKind.PR:
-            if "cursor" in extras:
-                binding = (step.txn, step.pred_var)
-                if extras.get("closed"):
-                    self.env.pred_cursors.pop(binding, None)
-                else:
-                    self.env.pred_cursors[binding] = extras["cursor"]
             if values and not step.aggregate:
                 last = values[-1]
                 reckey = last[0] if isinstance(last, tuple) else last
@@ -411,47 +400,22 @@ class Monitor:
     # ------------------------------------------------------------ responses
 
     @staticmethod
-    def _parse_response(response: str):
-        """Split a worker response into (ok, code, values, images, extras)."""
+    def _parse_response(response: str, op_seq: int):
+        """Split a worker response into (ok, code, values, images)."""
         if not response.endswith("\n"):
             raise ProtocolError("response must be newline terminated")
         tokens = response[:-1].split(" ")
         if tokens[0] == "FAILURE":
-            code = tokens[1] if len(tokens) > 1 else "Unknown"
-            return False, code, None, [], {}
+            return False, tokens[1] if len(tokens) > 1 else "Unknown", None, []
         if tokens[0] != "SUCCESS":
             raise ProtocolError(f"bad response head {tokens[0]!r}")
-        values = None
-        images: List[WriteImage] = []
-        extras: dict = {}
-        pending_before: Optional[str] = None
-        for token in tokens[1:]:
-            key, sep, payload = token.partition("=")
-            if not sep:
-                if values is None:
-                    values = []
-                values.append(int(token))
-                if "key" not in extras:
-                    extras["key"] = int(token)
-                continue
-            if key == "VALUES":
-                values = decode_values(payload)
-            elif key == "BEFORE":
-                pending_before = payload
-            elif key == "AFTER":
-                before = decode_image_side(pending_before) if pending_before is not None else None
-                after = decode_image_side(payload)
-                src = after if after is not None else before
-                if src is not None:
-                    images.append(WriteImage(0, src.reckey, before, after))
-                pending_before = None
-            elif key == "CURSOR":
-                extras["cursor"] = int(payload)
-            elif key == "CLOSED":
-                extras["closed"] = payload == "yes"
-            else:
-                raise ProtocolError(f"unknown response field {key!r}")
-        return True, None, values, images, extras
+        bare = 1
+        while bare < len(tokens) and "=" not in tokens[bare]:
+            bare += 1
+        values, images = decode_fields(tokens[bare:], op_seq, skip=("CURSOR", "CLOSED"))
+        if bare > 1:  # leading bare numbers: a value read, a new key or a row count
+            values = [int(t) for t in tokens[1:bare]]
+        return True, None, values, images
 
     def _status_for_failure(self, code: str) -> Tuple[str, Optional[str]]:
         if code == DeadlockAbort.code:
@@ -463,139 +427,110 @@ class Monitor:
     # ------------------------------------------------------------ execution
 
     def run(self) -> OutputHistory:
-        steps = list(enumerate(self.prog.steps))
-        if self.config.mode is Mode.SYNC:
-            self._run_sync(steps)
-        else:
-            self._run_async(steps)
+        work = list(enumerate(self.prog.steps))
+        while True:
+            if not self._submit(work):
+                # nothing runs and nothing can be submitted
+                self.stuck = bool(work) or any(self.deferred.values())
+                break
+            if not self._settle(work):
+                self.stuck = True
+                break
         return self._finish()
 
-    # - sync -
-
-    def _run_sync(self, steps) -> None:
-        work = list(steps)
-        while work or self.pending:
-            self._drain_completions(work)
-            if not work:
-                if not self.pending:
+    def _submit(self, work: list) -> bool:
+        """Submit steps in program order: one in SYNC mode, every step up to
+        the first one of a busy transaction in ASYNC mode.  In SYNC mode the
+        steps of a transaction whose request is parked are set aside.
+        Returns whether anything was submitted."""
+        sync = self.config.mode is Mode.SYNC
+        submitted = False
+        while work and not (sync and submitted):
+            index, step = work[0]
+            if step.txn in self.pending:
+                if not sync:
                     break
-                if not any(self.deferred.values()):
-                    break  # unterminated history with hanging operations
-                if not self._await_any_completion(self.config.stuck_timeout()):
-                    self.stuck = True
-                    break
+                self.deferred.setdefault(step.txn, []).append(work.pop(0))
                 continue
-            index, step = work.pop(0)
-            txn = step.txn
-            if txn and txn in self.pending:
-                self.deferred.setdefault(txn, []).append((index, step))
+            submitted = True
+            if step.kind not in (OpKind.PRED, OpKind.MAP, OpKind.IL) and step.txn not in self.levels:
+                # implicit BEGIN: a request like any other that records nothing
+                level = self._default_level()
+                self.levels[step.txn] = level
+                self._send(step.txn, build_frame("BEGIN", level.name), None)
                 continue
-            self._run_step_sync(index, step)
+            work.pop(0)
+            self._dispatch(index, step)
+        return submitted
 
-    def _run_step_sync(self, index: int, step: Step) -> None:
-        if step.kind in (OpKind.PRED, OpKind.MAP):
-            self._execute_declarative(index, step)
-            return
-        if step.kind is OpKind.IL:
-            self._execute_il(index, step)
-            return
-        self._ensure_begun(step.txn)
-        frame, error = self.resolve_step(step)
+    def _dispatch(self, index: int, step: Step) -> None:
         self._submit_seq += 1
-        submit_seq = self._submit_seq
         dispatch = DispatchRecord(index, step.txn, self._tick())
         self.dispatch.append(dispatch)
+        if step.kind in (OpKind.PRED, OpKind.MAP):
+            self._execute_declarative(step, dispatch)
+            return
+        if step.kind is OpKind.IL:
+            frame, error = build_frame("BEGIN", step.level.name), None
+        else:
+            frame, error = self.resolve_step(step)
         op_text = render_step(step, self.env.row_vars, compact=True)
         if error is not None:
-            code, message = error
             dispatch.completion_event = self._tick()
             dispatch.status = STATUS_ERROR
-            self._emit(OutputRecord(0, submit_seq, step.txn, op_text, STATUS_ERROR, error_code=code))
+            self._emit(
+                OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=error[0])
+            )
             return
-        worker = self._worker(step.txn)
-        worker.send(frame)
-        pend = _Pending(index, step, op_text, submit_seq, dispatch, submitted_at=time.monotonic())
-        response = self._await_response(worker, step.txn)
-        if response is None:
-            dispatch.status = STATUS_BLOCKED
-            blocked = self._emit(OutputRecord(0, submit_seq, step.txn, op_text, STATUS_BLOCKED))
-            pend.blocked_seq = blocked.seq
-            self.pending[step.txn] = pend
-            return
-        self._complete(pend, response)
+        self._send(step.txn, frame, _Pending(step, op_text, self._submit_seq, dispatch))
 
-    def _await_response(self, worker: Worker, txn: int) -> Optional[str]:
-        """Wait for a response until timeout; None means declared BLOCKED."""
-        deadline = time.monotonic() + self.config.timeout
-        while True:
+    def _settle(self, work: list) -> bool:
+        """Wait until no submitted request is running, then record what
+        completed or parked meanwhile in engine event order, and put the
+        set-aside steps of completed transactions back in front of ``work``.
+        Returns False when the stuck guard expired first."""
+        batch = []
+        expired = False
+        while self.running and not expired:
             try:
-                return worker.responses.get(timeout=0.002)
+                event, txn, what = self.inbox.get(timeout=4 * self.config.timeout)
             except queue.Empty:
-                pass
-            if (
-                self.config.fast_block_detect
-                and self.config.mode is Mode.SYNC
-                and self.engine.request_state(txn) == "WAITING"
-            ):
-                return None
-            if time.monotonic() >= deadline:
-                return None
+                expired = True
+                continue
+            if what == WAKE:
+                self.running.add(txn)
+                continue
+            self.running.discard(txn)
+            pend = self.pending[txn] if what == PARK else self.pending.pop(txn)
+            if pend is not None:
+                batch.append((event, what, pend))
+        resumed: List[Tuple[int, Step]] = []
+        for _, what, pend in sorted(batch, key=lambda item: item[0]):
+            if what != PARK:
+                self._complete(pend, what)
+                resumed.extend(self.deferred.pop(pend.step.txn, []))
+            elif pend.blocked_seq is None:  # a re-park of a resumed request adds no record
+                pend.dispatch.status = STATUS_BLOCKED
+                blocked = self._emit(
+                    OutputRecord(0, pend.submit_seq, pend.step.txn, pend.op_text, STATUS_BLOCKED)
+                )
+                pend.blocked_seq = blocked.seq
+        work[:0] = resumed
+        return not expired
 
-    def _drain_completions(self, work: list) -> None:
-        """Collect completions of pending ops whose lock request was granted
-        (or aborted); prepend their transactions' deferred steps.
-
-        A granted multi-lock operation (set update, incremental scan) can
-        block again on a different holder before responding; such operations
-        simply stay pending rather than stalling the monitor.
-        """
-        progressed = True
-        while progressed:
-            progressed = False
-            for txn in sorted(self.pending):
-                if self.engine.request_state(txn) == "WAITING":
-                    continue
-                response = self._receive_unless_reblocked(txn)
-                if response is None:
-                    continue
-                pend = self.pending.pop(txn)
-                self._complete(pend, response, resumed=True)
-                queued = self.deferred.pop(txn, [])
-                work[:0] = queued
-                progressed = True
-                break
-
-    def _receive_unless_reblocked(self, txn: int) -> Optional[str]:
-        worker = self.workers[txn]
-        while True:
-            try:
-                return worker.responses.get(timeout=0.002)
-            except queue.Empty:
-                if self.engine.request_state(txn) == "WAITING":
-                    return None
-
-    def _await_any_completion(self, timeout: float) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            for txn in sorted(self.pending):
-                if self.engine.request_state(txn) != "WAITING":
-                    return True
-            time.sleep(0.002)
-        return False
-
-    def _complete(self, pend: _Pending, response: str, resumed: bool = False) -> None:
-        ok, code, values, images, extras = self._parse_response(response)
+    def _complete(self, pend: _Pending, response: str) -> None:
+        ok, code, values, images = self._parse_response(response, pend.submit_seq)
         step = pend.step
         pend.dispatch.completion_event = self._tick()
-        for img in images:
-            img.op_seq = pend.submit_seq
         if ok:
-            status = STATUS_RESUMED if resumed and pend.blocked_seq is not None else STATUS_OK
-            self._apply_result_bindings(step, values or [], extras)
+            if step.kind is OpKind.IL:
+                self.levels[step.txn] = step.level
+            status = STATUS_RESUMED if pend.blocked_seq is not None else STATUS_OK
+            self._apply_result_bindings(step, values or [])
             op_text = render_step(step, self.env.row_vars, compact=True)
             rec = OutputRecord(
                 0, pend.submit_seq, step.txn, op_text, status,
-                resumed_of=pend.blocked_seq if status == STATUS_RESUMED else None,
+                resumed_of=pend.blocked_seq,
                 values=self._record_values(step, values),
                 images=images,
             )
@@ -612,16 +547,11 @@ class Monitor:
 
     @staticmethod
     def _record_values(step: Step, values) -> Optional[list]:
-        if step.kind in (OpKind.C, OpKind.A):
-            return None
-        if step.kind is OpKind.I:
+        if step.kind in (OpKind.C, OpKind.A, OpKind.I):
             return None
         return values
 
-    def _execute_declarative(self, index: int, step: Step) -> None:
-        self._submit_seq += 1
-        dispatch = DispatchRecord(index, 0, self._tick())
-        self.dispatch.append(dispatch)
+    def _execute_declarative(self, step: Step, dispatch: DispatchRecord) -> None:
         status = STATUS_OK
         code = None
         if step.kind is OpKind.PRED:
@@ -640,108 +570,6 @@ class Monitor:
                 render_step(step, None, compact=True), status, error_code=code,
             )
         )
-
-    def _execute_il(self, index: int, step: Step) -> None:
-        self._submit_seq += 1
-        dispatch = DispatchRecord(index, step.txn, self._tick())
-        self.dispatch.append(dispatch)
-        response = self._begin(step.txn, step.level)
-        dispatch.completion_event = self._tick()
-        op_text = render_step(step, None, compact=True)
-        if response.startswith("SUCCESS"):
-            dispatch.status = STATUS_OK
-            self._emit(OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_OK))
-        else:
-            code = response.split(" ")[1] if " " in response else "Unknown"
-            dispatch.status = STATUS_ERROR
-            self._emit(
-                OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=code)
-            )
-
-    # - async -
-
-    def _run_async(self, steps) -> None:
-        i = 0
-        stall_started: Optional[float] = None
-        while True:
-            submitted = False
-            while i < len(steps):
-                index, step = steps[i]
-                if step.kind in (OpKind.PRED, OpKind.MAP):
-                    self._execute_declarative(index, step)
-                    i += 1
-                    submitted = True
-                    continue
-                if step.kind is OpKind.IL:
-                    if step.txn in self.pending:
-                        break
-                    self._execute_il(index, step)
-                    i += 1
-                    submitted = True
-                    continue
-                if step.txn in self.pending:
-                    break  # one outstanding operation per transaction
-                self._ensure_begun(step.txn)
-                frame, error = self.resolve_step(step)
-                self._submit_seq += 1
-                dispatch = DispatchRecord(index, step.txn, self._tick())
-                self.dispatch.append(dispatch)
-                op_text = render_step(step, self.env.row_vars, compact=True)
-                if error is not None:
-                    code, message = error
-                    dispatch.completion_event = self._tick()
-                    dispatch.status = STATUS_ERROR
-                    self._emit(
-                        OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=code)
-                    )
-                else:
-                    self._worker(step.txn).send(frame)
-                    self.pending[step.txn] = _Pending(
-                        index, step, op_text, self._submit_seq, dispatch,
-                        submitted_at=time.monotonic(),
-                    )
-                i += 1
-                submitted = True
-            if i >= len(steps) and not self.pending:
-                return
-            got = self._async_wait_any()
-            if got:
-                stall_started = None
-                continue
-            if submitted:
-                stall_started = None
-                continue
-            if stall_started is None:
-                stall_started = time.monotonic()
-            elif time.monotonic() - stall_started >= self.config.stuck_timeout():
-                self.stuck = i < len(steps)
-                return
-
-    def _async_wait_any(self) -> bool:
-        """Wait briefly for any pending worker to respond; emit BLOCKED
-        records for operations that exceeded the per-operation timeout."""
-        end = time.monotonic() + 0.05
-        while time.monotonic() < end:
-            for txn in sorted(self.pending):
-                pend = self.pending[txn]
-                try:
-                    response = self.workers[txn].responses.get_nowait()
-                except queue.Empty:
-                    if (
-                        pend.blocked_seq is None
-                        and time.monotonic() - pend.submitted_at >= self.config.timeout
-                    ):
-                        pend.dispatch.status = STATUS_BLOCKED
-                        blocked = self._emit(
-                            OutputRecord(0, pend.submit_seq, txn, pend.op_text, STATUS_BLOCKED)
-                        )
-                        pend.blocked_seq = blocked.seq
-                    continue
-                del self.pending[txn]
-                self._complete(pend, response, resumed=pend.blocked_seq is not None)
-                return True
-            time.sleep(0.001)
-        return False
 
     # - teardown -
 
@@ -775,8 +603,8 @@ class Monitor:
 def run_history(prog: HistoryProgram, config: Optional[ExecutorConfig] = None) -> OutputHistory:
     """Execute a parsed history and return its output history.
 
-    A stuck run (every remaining step belongs to a blocked transaction and
-    nothing completes within the global timeout) is reported through the
-    header's ``stuck`` flag, not an exception.
+    A stuck run (steps remain but every one belongs to a transaction whose
+    request is parked, or a request ran past the stuck guard) is reported
+    through the header's ``stuck`` flag, not an exception.
     """
     return Monitor(prog, config).run()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .dataset import Row
 from .engine import WriteImage
@@ -138,6 +138,40 @@ def decode_values(text: str) -> list:
     return out
 
 
+def decode_fields(tokens, op_seq: int, skip=()) -> Tuple[Optional[list], List[WriteImage]]:
+    """Decode ``VALUES=`` and paired ``BEFORE=``/``AFTER=`` tokens into
+    (values, images); fields named in ``skip`` are ignored.  Shared by the
+    record parser and the monitor's response parser.  Raises ValueError."""
+    values = None
+    images: List[WriteImage] = []
+    pending_before: Optional[str] = None
+    for token in tokens:
+        key, sep, payload = token.partition("=")
+        if not sep:
+            raise ValueError(f"stray token {token!r}")
+        if key == "VALUES":
+            values = decode_values(payload)
+        elif key == "BEFORE":
+            if pending_before is not None:
+                raise ValueError("BEFORE without matching AFTER")
+            pending_before = payload
+        elif key == "AFTER":
+            if pending_before is None:
+                raise ValueError("AFTER without BEFORE")
+            before = decode_image_side(pending_before)
+            after = decode_image_side(payload)
+            key_src = after if after is not None else before
+            if key_src is None:
+                raise ValueError("image with both sides ABSENT")
+            images.append(WriteImage(op_seq, key_src.reckey, before, after))
+            pending_before = None
+        elif key not in skip:
+            raise ValueError(f"unknown field {key!r}")
+    if pending_before is not None:
+        raise ValueError("BEFORE without matching AFTER")
+    return values, images
+
+
 def _status_text(rec: OutputRecord) -> str:
     if rec.status == STATUS_RESUMED:
         return f"RESUMED={rec.resumed_of}"
@@ -209,34 +243,10 @@ def _parse_record_line(line: str, line_no: int) -> OutputRecord:
         rec.status = status_token
     else:
         raise FormatError(f"unknown status {status_token!r}", line_no, line)
-    pending_before: Optional[str] = None
-    for token in parts[4:]:
-        key, sep, payload = token.partition("=")
-        if not sep:
-            raise FormatError(f"stray token {token!r}", line_no, line)
-        try:
-            if key == "VALUES":
-                rec.values = decode_values(payload)
-            elif key == "BEFORE":
-                if pending_before is not None:
-                    raise ValueError("BEFORE without matching AFTER")
-                pending_before = payload
-            elif key == "AFTER":
-                if pending_before is None:
-                    raise ValueError("AFTER without BEFORE")
-                before = decode_image_side(pending_before)
-                after = decode_image_side(payload)
-                key_src = after if after is not None else before
-                if key_src is None:
-                    raise ValueError("image with both sides ABSENT")
-                rec.images.append(WriteImage(submit_seq, key_src.reckey, before, after))
-                pending_before = None
-            else:
-                raise ValueError(f"unknown field {key!r}")
-        except ValueError as exc:
-            raise FormatError(str(exc), line_no, line)
-    if pending_before is not None:
-        raise FormatError("BEFORE without matching AFTER", line_no, line)
+    try:
+        rec.values, rec.images = decode_fields(parts[4:], submit_seq)
+    except ValueError as exc:
+        raise FormatError(str(exc), line_no, line)
     return rec
 
 

@@ -13,9 +13,8 @@ from isoharness.notation import parse_history
 
 
 def fast_config(**kwargs) -> ExecutorConfig:
-    """Executor config with short timeouts for the test suite."""
+    """Executor config with a short stuck guard for the test suite."""
     kwargs.setdefault("timeout", 0.25)
-    kwargs.setdefault("global_timeout", 1.0)
     kwargs.setdefault("engine", EngineConfig())
     return ExecutorConfig(**kwargs)
 

@@ -177,7 +177,7 @@ def test_criterion_5_over_restrictive_detection():
     with criterion(5, "over-restrictiveness detection"):
         report = run_campaign(
             ExecutorConfig(
-                timeout=0.25, global_timeout=1.0,
+                timeout=0.25,
                 engine=EngineConfig(strictness=Strictness.STRICT_ALL_LONG),
             )
         )

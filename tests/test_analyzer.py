@@ -147,6 +147,17 @@ def test_judge_over_restrictive_r_w_blocked_at_rc():
     assert len(judgment.over_restrictive) == 1
 
 
+def test_block_explained_by_non_permitted_pair_not_over_restrictive():
+    # W2 blocks on T1's write of A (w_w, not permitted); the permitted pr_w
+    # pair with T1's scan of P must not be blamed for the block
+    oh, _ = run_text(
+        "PRED(P, k5=1) MAP(A, 200) IL1(RR) IL2(RC) PR1(P;reckey;all) W1(A, 5) W2(A, 7) C1 C2"
+    )
+    judgment = analyze_history(oh)
+    assert judgment.verdict is Verdict.CONFORMS
+    assert {p.cls for p in judgment.pairs} == {"pr_w", "w_w"}
+
+
 def test_judge_unknown_level():
     oh, _ = run_text("IL1(RC) IL2(RC) W1(A, 1) R2(A, X) C1 C2")
     pairs = detect_pairs(oh)

@@ -43,7 +43,7 @@ def test_run_stuck_exit_code(tmp_path, capsys):
     hist = tmp_path / "stuck.hist"
     hist.write_text("IL1(RC) IL2(RC) W1(A, 1) W2(A, 2) C2\n")
     code = main([
-        "run", str(hist), "--timeout", "0.1", "--global-timeout", "0.4",
+        "run", str(hist), "--timeout", "0.1",
         "-o", str(tmp_path / "stuck.outhist"),
     ])
     assert code == 2

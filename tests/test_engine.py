@@ -547,7 +547,8 @@ def test_no_cycle_no_victim():
     e.write_item(1, 100, None)
     blocked = OpThread(e.write_item, 2, 100, None)
     assert wait_until(lambda: e.request_state(2) == "WAITING")
-    assert e.detect_deadlock() is None
+    assert blocked.still_blocked()  # parked, not picked as a victim
+    assert e.txns[2].status is TxnStatus.BLOCKED
     e.commit(1)
     blocked.outcome()
 

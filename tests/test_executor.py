@@ -1,7 +1,16 @@
+import os
+import queue
+import sys
+import time
+from collections import Counter
+
 import pytest
 
+from isoharness import executor
+from isoharness.analyzer import Verdict, analyze_history
+from isoharness.cli import run_campaign
 from isoharness.dataset import build_canonical_table
-from isoharness.engine import Engine, EngineConfig
+from isoharness.engine import PARK, Engine, EngineConfig
 from isoharness.executor import (
     ExecutorConfig,
     Mode,
@@ -12,7 +21,7 @@ from isoharness.executor import (
     handle_frame,
     run_history,
 )
-from isoharness.notation import IsolationLevel, parse_history
+from isoharness.notation import IsolationLevel, parse_history, parse_predicate
 from isoharness.outhist import (
     STATUS_BLOCKED,
     STATUS_ERROR,
@@ -64,7 +73,7 @@ def test_deferred_steps_run_after_resume():
 
 def test_history_stuck_detection():
     # T1 never commits, so T2 can never resume and C2 can never run
-    oh, _ = run_text("IL1(RC) IL2(RC) W1(A, 1) W2(A, 2) C2", global_timeout=0.4)
+    oh, _ = run_text("IL1(RC) IL2(RC) W1(A, 1) W2(A, 2) C2")
     assert oh.header.stuck
     assert oh.finals[2] == "BLOCKED"
 
@@ -164,13 +173,14 @@ def test_read_frame_response():
 
 
 def test_missing_row_failure_frame():
-    worker = Worker(1, _engine())
+    worker = Worker(1, _engine(), queue.SimpleQueue())
     worker.send("WRITE 99999 DEFAULT\n")
-    response = worker.responses.get(timeout=2)
+    _, txn, response = worker.responses.get(timeout=2)
+    assert txn == 1
     assert response.startswith("FAILURE RowNotFound")
     assert response.endswith("\n")
     worker.send(build_frame("FINALIZE"))
-    assert worker.responses.get(timeout=2) == "SUCCESS\n"
+    assert worker.responses.get(timeout=2)[2] == "SUCCESS\n"
 
 
 def test_frame_without_newline_rejected():
@@ -246,7 +256,7 @@ def test_async_blocked_scan_stop_goes_stuck():
     # then stops at C2, C1 is never reached, and W2 can never resume
     text = "IL1(RC) IL2(RC) W1(A, 1) R1(B, X) W2(A, 2) C2 C1"
     prog = parse_history(text)
-    mon = Monitor(prog, fast_config(mode=Mode.ASYNC, timeout=0.05, global_timeout=0.5))
+    mon = Monitor(prog, fast_config(mode=Mode.ASYNC, timeout=0.05))
     oh = mon.run()
     w2_records = [r for r in oh.records if r.op_text.startswith("W2")]
     assert [r.status for r in w2_records] == [STATUS_BLOCKED]
@@ -287,3 +297,106 @@ def test_run_history_wrapper():
     prog = parse_history("IL1(RC) W1(A, 1) C1")
     oh = run_history(prog, fast_config())
     assert oh.finals == {1: "COMMITTED"}
+
+
+# ------------------------------------------------- records in engine order
+
+
+def test_deadlock_victim_recorded_before_survivor_completes():
+    # W2(A) parks on T1; W1(B) closes the cycle and the younger T2, an
+    # earlier waiter, is the victim: its abort precedes the survivor's write
+    for _ in range(5):
+        oh, mon = run_text("IL1(RR) IL2(RC) W1(A, 1) W2(B, 2) W2(A, 9) W1(B, 9) A2 C1")
+        statuses = [(r.op_text.split("(")[0], r.status) for r in oh.records[4:7]]
+        assert statuses == [("W2", STATUS_BLOCKED), ("W2", "ABORTED_DEADLOCK"), ("W1", STATUS_OK)]
+        assert analyze_history(oh).verdict is Verdict.CONFORMS
+        assert oh.finals == {1: "COMMITTED", 2: "ABORTED"}
+        assert mon.engine.table.rows[200].values["recval"] == 9
+
+
+def test_slow_scan_that_never_waits_is_not_blocked():
+    rows = 5000
+    engine = Engine(build_canonical_table(rows), EngineConfig())
+    engine.begin(1, IsolationLevel.RC)
+    t0 = time.perf_counter()
+    engine.predicate_read(1, "P", parse_predicate("k2=0 and k3=0"), ("reckey",), "all")
+    scan_s = time.perf_counter() - t0
+    # the scan runs about twice the timeout, well inside the 4x stuck guard
+    oh, _ = run_text(
+        "PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;reckey;all) C1", rows=rows, timeout=scan_s / 2
+    )
+    assert not oh.header.stuck
+    scan = [r for r in oh.records if r.op_text.startswith("PR1")]
+    assert [r.status for r in scan] == [STATUS_OK]
+    assert len(scan[0].values) == rows // 6 + 1
+
+
+def test_async_matrix_verdicts_sound_and_parks_recorded(monkeypatch):
+    # Every op of the predicate-scope matrix takes one lock, so it parks at
+    # most once: the engine's PARK posts per transaction must match the
+    # BLOCKED records one for one.
+    runs = []
+
+    class SpyMonitor(Monitor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.parks = Counter()
+            post = self.engine._post
+
+            def spy(st, what):
+                if what == PARK:
+                    self.parks[st.txn] += 1
+                post(st, what)
+
+            self.engine._post = spy
+
+        def run(self):
+            output = super().run()
+            runs.append((output, self.parks))
+            return output
+
+    monkeypatch.setattr(executor, "Monitor", SpyMonitor)
+    for _ in range(2):
+        report = run_campaign(
+            fast_config(mode=Mode.ASYNC), variants=("insert", "delete", "set_update"), parallel=4
+        )
+        assert report.totals["VIOLATION"] == 0
+        assert report.totals["OVER_RESTRICTIVE"] == 0
+    assert len(runs) == 2 * 81
+    for output, parks in runs:
+        blocked = Counter(r.txn for r in output.records if r.status == STATUS_BLOCKED)
+        assert blocked == parks, serialize(output)
+
+
+def test_shared_inbox_stress_matches_sync():
+    # More transactions than cores.  Odd transactions drain P, even ones
+    # write a row in P and commit, back to back, so requests park and wake
+    # on every run: a writer waits for a scan's short predicate lock, a scan
+    # for the previous writer's commit.  A lost or misordered inbox message
+    # shows as a stuck run, a missing record or a lost write.
+    pairs = (os.cpu_count() or 1) + 2
+    steps = ["PRED(P, k2=0)"]
+    steps += [f"MAP(R{w}, {100 * (2 * w - 1)})" for w in range(2, 2 * pairs + 1, 2)]
+    steps += [f"IL{t}(RC)" for t in range(1, 2 * pairs + 1)]
+    for s in range(1, 2 * pairs, 2):
+        steps += [f"PR{s}(P;reckey;all)", f"W{s + 1}(R{s + 1}, {s + 1})", f"C{s + 1}"]
+    steps += [f"C{s}" for s in range(1, 2 * pairs, 2)]
+    text = " ".join(steps)
+    sync_oh, sync_mon = run_text(text)
+    expected = sync_mon.engine.table.snapshot()
+    assert expected[300].values["recval"] == 2
+    completions = sum(r.completes() for r in sync_oh.records)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 3.0
+        runs = 0
+        while runs < 3 or (time.monotonic() < deadline and runs < 30):
+            oh, mon = run_text(text, mode=Mode.ASYNC, timeout=1.0)
+            assert not oh.header.stuck
+            assert sum(r.completes() for r in oh.records) == completions
+            assert all(r.succeeded() for r in oh.records if r.completes())
+            assert mon.engine.table.snapshot() == expected
+            runs += 1
+    finally:
+        sys.setswitchinterval(old)
