@@ -3,14 +3,16 @@
 The table ``T(reckey, recval, c2..c100, k2..k100)`` holds a multiple of 100
 rows.  Row i (1-based) carries reckey 100*i, recval 10000*i, and
 kN = cN = (i-1) mod N.  The kN columns are flagged as indexed, the cN columns
-are not; index flags only influence the engine's incremental range locking,
-there is no physical index structure.
+are not; index flags only influence the engine's incremental range locking.
+The only physical index is the sorted list of reckeys.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from functools import lru_cache
+from typing import Dict, Iterator, List, Tuple
 
 from .notation import (
     PredicateExpr,
@@ -62,9 +64,25 @@ class CanonicalTable:
     rows: Dict[int, Row] = field(default_factory=dict)
     indexed_columns: set = field(default_factory=lambda: set(DEFAULT_INDEXED_COLUMNS))
     row_count: int = 0
+    #: Every key of ``rows``, tombstones included, in ascending order.  Keys
+    #: are added and removed only through :meth:`put` and :meth:`drop`.
+    keys: List[int] = field(init=False)
+
+    def __post_init__(self):
+        self.keys = sorted(self.rows)
+
+    def put(self, key: int, row: Row) -> None:
+        if key not in self.rows:
+            insort(self.keys, key)
+        self.rows[key] = row
+
+    def drop(self, key: int) -> None:
+        if self.rows.pop(key, None) is not None:
+            del self.keys[bisect_left(self.keys, key)]
 
     def keys_ascending(self) -> list:
-        return sorted(self.rows)
+        """The sorted key list itself, not a copy."""
+        return self.keys
 
     def scan(self) -> Iterator[Row]:
         """Live rows in ascending reckey order."""
@@ -78,14 +96,24 @@ class CanonicalTable:
         return {k: r.copy() for k, r in self.rows.items() if not r.tombstone}
 
 
+@lru_cache(maxsize=8)
+def _base_rows(row_count: int) -> Tuple[tuple, ...]:
+    """Each canonical row's values in ``SCHEMA_COLUMNS`` order, built once
+    per row count.  Tuples, because they are shared by every table built."""
+    return tuple(
+        tuple(map(initial_row(i).values.__getitem__, SCHEMA_COLUMNS))
+        for i in range(1, row_count + 1)
+    )
+
+
 def build_canonical_table(row_count: int = DEFAULT_ROW_COUNT) -> CanonicalTable:
+    """A fresh table: the engine mutates ``Row.values`` in place."""
     if row_count <= 0 or row_count % 100 != 0:
         raise InvalidRowCount(f"row count must be a positive multiple of 100, got {row_count}")
-    table = CanonicalTable(row_count=row_count)
-    for i in range(1, row_count + 1):
-        row = initial_row(i)
-        table.rows[row.reckey] = row
-    return table
+    rows = {  # reckey is the first column
+        values[0]: Row(dict(zip(SCHEMA_COLUMNS, values))) for values in _base_rows(row_count)
+    }
+    return CanonicalTable(rows=rows, row_count=row_count)
 
 
 def eval_predicate(row: Row, predicate: PredicateExpr) -> bool:

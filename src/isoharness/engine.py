@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
@@ -246,7 +247,13 @@ class Engine:
         self.txns: Dict[int, TxnState] = {}
         self.lock_events: List[LockEvent] = []
         self._mu = threading.Lock()
-        self._grants: List[LockGrant] = []
+        # Grants keyed by (txn, resource, mode), in grant order, and again
+        # by what can conflict with them: an exclusive grant is an item lock
+        # and a row has at most one, so those go by reckey; the shared ones,
+        # which only an exclusive request can meet, are kept apart.
+        self._grants: Dict[tuple, LockGrant] = {}
+        self._x_grants: Dict[int, LockGrant] = {}
+        self._s_grants: Dict[tuple, LockGrant] = {}
         self._waiters: List[_LockRequest] = []
         self._begin_counter = 0
         self._op_counter = 0
@@ -274,7 +281,7 @@ class Engine:
                 if img.after is None:  # delete becomes permanent
                     row = self.table.rows.get(img.reckey)
                     if row is not None and row.tombstone:
-                        del self.table.rows[img.reckey]
+                        self.table.drop(img.reckey)
             st.undo.clear()
             st.cursors.clear()
             st.status = TxnStatus.COMMITTED
@@ -291,9 +298,9 @@ class Engine:
     def _rollback_locked(self, st: TxnState) -> None:
         for img in reversed(st.undo):
             if img.before is None:
-                self.table.rows.pop(img.reckey, None)
+                self.table.drop(img.reckey)
             else:
-                self.table.rows[img.reckey] = Row(dict(img.before.values))
+                self.table.put(img.reckey, Row(dict(img.before.values)))
         st.undo.clear()
         st.cursors.clear()
         st.status = TxnStatus.ABORTED
@@ -358,10 +365,7 @@ class Engine:
         return any(res.predicate.holds(values) for values in images)
 
     def _held(self, txn: int, resource, mode: LockMode) -> Optional[LockGrant]:
-        for g in self._grants:
-            if g.txn == txn and g.resource == resource and g.mode is mode:
-                return g
-        return None
+        return self._grants.get((txn, resource, mode))
 
     def _stamp(self, st: TxnState) -> int:
         self._event_counter += 1
@@ -381,15 +385,32 @@ class Engine:
 
     def _grant_now(self, req: _LockRequest) -> LockGrant:
         grant = LockGrant(req.txn, req.resource, req.mode, req.duration, req.intent)
-        self._grants.append(grant)
+        key = (req.txn, req.resource, req.mode)
+        self._grants[key] = grant
+        if req.mode is LockMode.X:
+            self._x_grants[req.resource.reckey] = grant
+        else:
+            self._s_grants[key] = grant
         self._log(req.txn, "ACQUIRE", req.resource, req.mode, req.duration)
         req.grant = grant
         req.outcome = _Outcome.GRANTED
         return grant
 
+    def _rivals(self, req: _LockRequest):
+        """The grants that can conflict with ``req``: S/S never conflict, and
+        an item lock meets only the exclusive grant on its own row."""
+        res = req.resource
+        if not isinstance(res, ItemResource):  # predicate and range locks are shared
+            return self._x_grants.values()
+        x = self._x_grants.get(res.reckey)
+        rivals = [] if x is None else [x]
+        if req.mode is LockMode.X:
+            rivals.extend(self._s_grants.values())
+        return rivals
+
     def _blockers(self, req: _LockRequest, queue_prefix) -> set:
         out = set()
-        for g in self._grants:
+        for g in self._rivals(req):
             if self._conflict(req, g):
                 out.add(g.txn)
         for other in queue_prefix:
@@ -418,20 +439,27 @@ class Engine:
             req.event.set()
 
     def _release_all(self, st: TxnState, reason: str) -> None:
-        kept = []
-        for g in self._grants:
+        kept = {}
+        for key, g in self._grants.items():
             if g.txn == st.txn:
                 self._log(g.txn, "RELEASE", g.resource, g.mode, g.duration, reason)
             else:
-                kept.append(g)
+                kept[key] = g
         self._grants = kept
+        self._x_grants = {k: g for k, g in self._x_grants.items() if g.txn != st.txn}
+        self._s_grants = {k: g for k, g in self._s_grants.items() if g.txn != st.txn}
         self._grant_pass()
 
     def _release_grants(self, grants, reason: str) -> None:
         with self._mu:
             for g in grants:
-                if g in self._grants:
-                    self._grants.remove(g)
+                key = (g.txn, g.resource, g.mode)
+                if self._grants.get(key) is g:
+                    del self._grants[key]
+                    if g.mode is LockMode.X:
+                        del self._x_grants[g.resource.reckey]
+                    else:
+                        del self._s_grants[key]
                     self._log(g.txn, "RELEASE", g.resource, g.mode, g.duration, reason)
             self._grant_pass()
 
@@ -519,7 +547,7 @@ class Engine:
 
     def held_locks(self, txn: int) -> list:
         with self._mu:
-            return [g for g in self._grants if g.txn == txn]
+            return [g for g in self._grants.values() if g.txn == txn]
 
     def shutdown(self) -> None:
         with self._mu:
@@ -689,7 +717,7 @@ class Engine:
                 # Reserve the key as an invisible row so concurrent inserts
                 # allocate elsewhere; visible once the lock is held.
                 row = Row(values, tombstone=True)
-                self.table.rows[key] = row
+                self.table.put(key, row)
                 image = WriteImage(self._next_op_seq(), key, None, Row(dict(values)))
                 st.undo.append(image)
         grant, _ = self._acquire(
@@ -707,7 +735,7 @@ class Engine:
                 grant.intent = None
                 raise DuplicateKey(f"reckey {key} already present")
             row = Row(dict(values))
-            self.table.rows[key] = row
+            self.table.put(key, row)
             image = WriteImage(self._next_op_seq(), key, None, row.copy())
             st.undo.append(image)
             grant.intent = None
@@ -753,11 +781,11 @@ class Engine:
         st.cursors[pred_var] = cursor
         return cursor
 
-    def _next_match(self, st: TxnState, predicate: PredicateExpr, after: int) -> Optional[int]:
-        for key in self.table.keys_ascending():
-            if key <= after:
-                continue
-            row = self.table.rows[key]
+    def _next_match(self, predicate: PredicateExpr, after: int) -> Optional[int]:
+        keys, rows = self.table.keys, self.table.rows
+        for i in range(bisect_right(keys, after), len(keys)):
+            key = keys[i]
+            row = rows[key]
             if row.tombstone:
                 continue
             if eval_predicate(row, predicate):
@@ -811,7 +839,7 @@ class Engine:
                         if need is None:
                             if not cursor.exhausted:
                                 count = sum(
-                                    1 for _ in self._iter_matches(st, predicate)
+                                    1 for _ in self._iter_matches(predicate)
                                 )
                                 rows = [(count,)]
                                 cursor.exhausted = True
@@ -829,7 +857,7 @@ class Engine:
                     with self._mu:
                         if limit is not None and len(rows) >= limit:
                             break
-                        key = self._next_match(st, predicate, cursor.position)
+                        key = self._next_match(predicate, cursor.position)
                         if key is None:
                             cursor.exhausted = True
                             tail = self._scan_lock_plan(st, cursor, _INF) if drain else None
@@ -865,8 +893,8 @@ class Engine:
             if short_grants:
                 self._release_grants(short_grants, "OP_END")
 
-    def _iter_matches(self, st: TxnState, predicate: PredicateExpr):
-        for key in self.table.keys_ascending():
+    def _iter_matches(self, predicate: PredicateExpr):
+        for key in self.table.keys:
             row = self.table.rows[key]
             if row.tombstone:
                 continue
@@ -886,7 +914,7 @@ class Engine:
         position = 0
         while True:
             with self._mu:
-                key = self._next_match(st, predicate, position)
+                key = self._next_match(predicate, position)
                 if key is None:
                     self._stamp(st)
                     break
@@ -928,8 +956,8 @@ class Engine:
             with self._mu:
                 self._stamp(st)
                 if aggregate == "count":
-                    return sum(1 for _ in self._iter_matches(st, predicate))
-                return sum(row.values["recval"] for row in self._iter_matches(st, predicate))
+                    return sum(1 for _ in self._iter_matches(predicate))
+                return sum(row.values["recval"] for row in self._iter_matches(predicate))
         finally:
             if short_grants:
                 self._release_grants(short_grants, "OP_END")

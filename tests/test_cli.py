@@ -49,6 +49,22 @@ def test_run_stuck_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scope", ["predicate", "incremental"])
+def test_large_drain_is_not_stuck(tmp_path, scope):
+    # The drain must finish well inside the 4 x timeout stuck guard.
+    hist = tmp_path / "drain.hist"
+    hist.write_text("PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;reckey;all) C1\n")
+    out = tmp_path / "drain.outhist"
+    code = main([
+        "run", str(hist), "--rows", "20000", "--timeout", "0.5",
+        "--lock-scope", scope, "-o", str(out),
+    ])
+    assert code == 0
+    text = out.read_text()
+    assert " PR1(P;reckey;all) OK " in text
+    assert "# final: 1=COMMITTED" in text
+
+
 def test_run_async_flag(tmp_path, capsys):
     hist = tmp_path / "a.hist"
     hist.write_text("IL1(RC) IL2(RC) W1(A, 7) W2(B, 8) C1 C2\n")

@@ -59,6 +59,19 @@ def test_determinism():
     a = build_canonical_table(300)
     b = build_canonical_table(300)
     assert a.rows == b.rows
+    assert a.keys == b.keys == sorted(a.rows)
+    assert not {id(r) for r in a.rows.values()} & {id(r) for r in b.rows.values()}
+    assert not {id(r.values) for r in a.rows.values()} & {id(r.values) for r in b.rows.values()}
+
+
+def test_mutating_a_table_leaves_later_tables_canonical():
+    table = build_canonical_table(200)
+    table.rows[100].values["recval"] = -1
+    table.rows[200].tombstone = True
+    table.drop(300)
+    fresh = build_canonical_table(200)
+    assert [r.values for r in fresh.scan()] == table_rows_oracle(200)
+    assert fresh.keys == [100 * i for i in range(1, 201)]
 
 
 def test_column_agreement():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from isoharness.dataset import build_canonical_table
@@ -572,3 +574,99 @@ def test_three_txn_cycle_single_victim():
     statuses = {t: e.txns[t].status for t in (1, 2, 3)}
     assert statuses[3] is TxnStatus.ABORTED
     assert statuses[1] is TxnStatus.COMMITTED and statuses[2] is TxnStatus.COMMITTED
+
+
+# ------------------------------------------------- sorted keys and scan cost
+
+
+def test_sorted_keys_follow_every_insert_and_delete():
+    e = make_engine()
+    table = e.table
+
+    def in_order():
+        return table.keys == sorted(table.rows)
+
+    e.begin(1, IL.RC)
+    assert e.insert_item(1, None, {})[0] == 150  # reserved, then made visible
+    assert in_order()
+    e.delete_item(1, 200)
+    e.insert_item(1, 200, {})  # over its own tombstone
+    assert in_order()
+    e.delete_item(1, 300)
+    e.commit(1)
+    assert 300 not in table.rows and 200 in table.rows and in_order()
+
+    e.begin(2, IL.RC)
+    e.insert_item(2, 250, {})
+    e.delete_item(2, 400)
+    e.insert_item(2, 400, {})
+    e.rollback(2)
+    assert 250 not in table.rows and not table.rows[400].tombstone and in_order()
+
+    e.begin(3, IL.RC)
+    e.begin(4, IL.RC)
+    e.delete_item(3, 500)
+    inserter = OpThread(e.insert_item, 4, 500, {})  # over another's tombstone
+    assert wait_until(lambda: e.request_state(4) == "WAITING")
+    e.commit(3)  # drops the row, then the insert puts it back
+    inserter.outcome()
+    assert not table.rows[500].tombstone and in_order()
+    e.rollback(4)
+    assert 500 not in table.rows and in_order()
+
+
+def _lines_run_in(code, fn) -> int:
+    """Lines executed in frames of ``code`` while ``fn()`` runs: a count of
+    the work a loop does that no clock or machine load affects."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def _drain(e):
+    e.predicate_read(1, "P", parse_predicate("k2=0 and k3=0"), ("reckey",), "all")
+
+
+@pytest.mark.parametrize("scope", [LockScope.PREDICATE, LockScope.INCREMENTAL_RANGE])
+def test_drain_visits_grow_linearly_with_table(scope):
+    steps = {}
+    for rows in (200, 2000):
+        e = make_engine(rows, scope)
+        e.begin(1, IL.RC)
+        steps[rows] = _lines_run_in(Engine._next_match.__code__, lambda: _drain(e))
+    assert steps[200] > 0
+    assert steps[2000] <= 12 * steps[200], steps  # quadratic would be ~100
+
+
+def test_incremental_drain_conflict_checks_grow_linearly(monkeypatch):
+    calls = 0
+    conflict = Engine._conflict
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return conflict(self, a, b)
+
+    monkeypatch.setattr(Engine, "_conflict", counted)
+    checks = {}
+    for rows in (200, 2000):
+        e = make_engine(rows, LockScope.INCREMENTAL_RANGE)
+        e.begin(1, IL.RC)
+        e.write_item(1, 100, None)  # one exclusive grant for each range request to meet
+        calls = 0
+        _drain(e)
+        checks[rows] = calls
+    assert checks[200] > 0
+    assert checks[2000] <= 12 * checks[200], checks  # quadratic would be ~100
