@@ -81,17 +81,9 @@ class OpView:
     def succeeded(self) -> bool:
         return self.completion is not None and self.completion.succeeded()
 
-    @property
-    def completion_seq(self) -> Optional[int]:
-        return self.completion.seq if self.completion else None
-
     def write_keys(self) -> List[int]:
         if self.step.kind not in WRITE_KINDS:
             return []
-        if self.step.kind is OpKind.SU:
-            if self.completion is None:
-                return []
-            return [img.reckey for img in self.completion.images]
         if self.completion is not None and self.completion.images:
             return [img.reckey for img in self.completion.images]
         return [self.reckey] if self.reckey is not None else []
@@ -185,13 +177,6 @@ def _is_write(op: OpView) -> bool:
 
 def _is_pred_read(op: OpView) -> bool:
     return op.step.kind in (OpKind.PR, OpKind.SS)
-
-
-def _order_key(op: OpView) -> int:
-    """Position of an op for pair ordering: completion, or the block point."""
-    if op.completion is not None:
-        return op.completion.seq
-    return op.blocked.seq
 
 
 def detect_pairs(oh: OutputHistory) -> List[ConflictPair]:

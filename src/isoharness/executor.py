@@ -62,7 +62,7 @@ from .outhist import (
     STATUS_READONLY,
     STATUS_RESUMED,
     decode_fields,
-    encode_image_side,
+    encode_image,
     encode_values,
 )
 
@@ -143,14 +143,11 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
         _require(len(args) == 2, "WRITE <reckey> DEFAULT|<int>")
         updates = None if args[1] == "DEFAULT" else {"recval": int(args[1])}
         image = engine.write_item(txn, int(args[0]), updates)
-        return f"SUCCESS BEFORE={encode_image_side(image.before)} AFTER={encode_image_side(image.after)}\n"
+        return f"SUCCESS {encode_image(image)}\n"
     if op == "RW":
         _require(len(args) == 1, "RW <reckey>")
         value, image = engine.rw_item(txn, int(args[0]))
-        return (
-            f"SUCCESS {value} BEFORE={encode_image_side(image.before)}"
-            f" AFTER={encode_image_side(image.after)}\n"
-        )
+        return f"SUCCESS {value} {encode_image(image)}\n"
     if op == "INSERT":
         _require(len(args) == 3, "INSERT AUTO|<key> <colspec|-> <valspec|->")
         reckey = None if args[0] == "AUTO" else int(args[0])
@@ -161,11 +158,11 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
             _require(len(cols) == len(vals), "column/value lists differ")
             values = {c: int(v) for c, v in zip(cols, vals)}
         key, image = engine.insert_item(txn, reckey, values)
-        return f"SUCCESS {key} BEFORE=ABSENT AFTER={encode_image_side(image.after)}\n"
+        return f"SUCCESS {key} {encode_image(image)}\n"
     if op == "DELETE":
         _require(len(args) == 1, "DELETE <reckey>")
         image = engine.delete_item(txn, int(args[0]))
-        return f"SUCCESS BEFORE={encode_image_side(image.before)} AFTER=ABSENT\n"
+        return f"SUCCESS {encode_image(image)}\n"
     if op == "PR":
         _require(len(args) == 4, "PR <pred_var> <columns> <limit|all> <predicate>")
         pred_var, columns_text, limit_text, pred_text = args
@@ -182,11 +179,7 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
     if op == "SU":
         _require(len(args) == 2, "SU <delta> <predicate>")
         count, images = engine.set_update(txn, parse_predicate(args[1]), int(args[0]))
-        parts = [f"SUCCESS {count}"]
-        for img in images:
-            parts.append(f"BEFORE={encode_image_side(img.before)}")
-            parts.append(f"AFTER={encode_image_side(img.after)}")
-        return " ".join(parts) + "\n"
+        return " ".join([f"SUCCESS {count}"] + [encode_image(img) for img in images]) + "\n"
     if op == "SS":
         _require(len(args) == 2 and args[0] in ("sum", "count"), "SS sum|count <predicate>")
         value = engine.set_select(txn, parse_predicate(args[1]), args[0])
@@ -412,7 +405,7 @@ class Monitor:
         bare = 1
         while bare < len(tokens) and "=" not in tokens[bare]:
             bare += 1
-        values, images = decode_fields(tokens[bare:], op_seq, skip=("CURSOR", "CLOSED"))
+        values, images = decode_fields(tokens[bare:], op_seq, skip=("CURSOR", "CLOSED"), lazy=True)
         if bare > 1:  # leading bare numbers: a value read, a new key or a row count
             values = [int(t) for t in tokens[1:bare]]
         return True, None, values, images

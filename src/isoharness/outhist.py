@@ -11,13 +11,16 @@ submit_seq.  Header lines are prefixed ``#`` and echo the run configuration
 plus the isolation level of every transaction; the trailer carries per-
 transaction final statuses.  Every successful write record carries full
 before/after row images (one BEFORE/AFTER pair per written row), which is
-what lets the analyzer decide predicate membership after the fact.
+what lets the analyzer decide predicate membership after the fact.  The worker
+encodes each image once; the monitor keeps that text (:class:`ImageText`), which
+:func:`serialize` writes verbatim, and decodes a side only when a Row is needed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .dataset import Row
@@ -40,6 +43,7 @@ STATUS_DEADLOCK = "ABORTED_DEADLOCK"
 STATUS_READONLY = "READONLY_VIOLATION"
 
 _PLAIN_STATUSES = {STATUS_OK, STATUS_BLOCKED, STATUS_DEADLOCK, STATUS_READONLY}
+_COLUMNS = frozenset(SCHEMA_COLUMNS)
 
 
 @dataclass
@@ -101,17 +105,57 @@ def encode_image_side(row: Optional[Row]) -> str:
 
 
 def decode_image_side(text: str) -> Optional[Row]:
+    """Inverse of :func:`encode_image_side`.  A number is an optional ``-`` and
+    decimal digits; ``int()`` alone would also take ``+5``, `` 5`` or ``1_0``."""
     if text == "ABSENT":
         return None
     values = {}
     for part in text.split(";"):
         col, _, num = part.partition(":")
-        if col not in SCHEMA_COLUMNS or not re.fullmatch(r"-?\d+", num):
+        if col not in _COLUMNS or not num.removeprefix("-").isdecimal():
             raise ValueError(f"bad image field {part!r}")
         values[col] = int(num)
-    if set(values) != set(SCHEMA_COLUMNS):
+    if len(values) != len(_COLUMNS):
         raise ValueError("incomplete row image")
     return Row(values)
+
+
+def encode_image(image: WriteImage) -> str:
+    """The ``BEFORE=`` and ``AFTER=`` fields of one image; kept text is written verbatim."""
+    if isinstance(image, ImageText):
+        before, after = image.texts
+    else:
+        before, after = encode_image_side(image.before), encode_image_side(image.after)
+    return f"BEFORE={before} AFTER={after}"
+
+
+class ImageText(WriteImage):
+    """A write image kept as the worker's text.  Each side is decoded on first
+    use, and :func:`serialize` writes the text back verbatim."""
+
+    def __init__(self, op_seq: int, before: str, after: str):
+        if before == after == "ABSENT":
+            raise ValueError("image with both sides ABSENT")
+        self.op_seq = op_seq
+        self.texts = (before, after)
+
+    @cached_property
+    def before(self) -> Optional[Row]:
+        return decode_image_side(self.texts[0])
+
+    @cached_property
+    def after(self) -> Optional[Row]:
+        return decode_image_side(self.texts[1])
+
+    @property
+    def reckey(self) -> int:
+        return (self.after if self.after is not None else self.before).reckey
+
+    def __eq__(self, other):
+        if not isinstance(other, WriteImage):
+            return NotImplemented
+        return (self.op_seq, self.reckey, self.before, self.after) == (
+            other.op_seq, other.reckey, other.before, other.after)
 
 
 def encode_values(values: list) -> str:
@@ -138,10 +182,11 @@ def decode_values(text: str) -> list:
     return out
 
 
-def decode_fields(tokens, op_seq: int, skip=()) -> Tuple[Optional[list], List[WriteImage]]:
+def decode_fields(tokens, op_seq: int, skip=(), lazy=False) -> Tuple[Optional[list], List[WriteImage]]:
     """Decode ``VALUES=`` and paired ``BEFORE=``/``AFTER=`` tokens into
     (values, images); fields named in ``skip`` are ignored.  Shared by the
-    record parser and the monitor's response parser.  Raises ValueError."""
+    record parser and the monitor's response parser, which passes ``lazy``
+    to keep each image as :class:`ImageText`.  Raises ValueError."""
     values = None
     images: List[WriteImage] = []
     pending_before: Optional[str] = None
@@ -158,12 +203,10 @@ def decode_fields(tokens, op_seq: int, skip=()) -> Tuple[Optional[list], List[Wr
         elif key == "AFTER":
             if pending_before is None:
                 raise ValueError("AFTER without BEFORE")
-            before = decode_image_side(pending_before)
-            after = decode_image_side(payload)
-            key_src = after if after is not None else before
-            if key_src is None:
-                raise ValueError("image with both sides ABSENT")
-            images.append(WriteImage(op_seq, key_src.reckey, before, after))
+            image = ImageText(op_seq, pending_before, payload)
+            if not lazy:
+                image = WriteImage(op_seq, image.reckey, image.before, image.after)
+            images.append(image)
             pending_before = None
         elif key not in skip:
             raise ValueError(f"unknown field {key!r}")
@@ -184,9 +227,7 @@ def _record_line(rec: OutputRecord) -> str:
     parts = [str(rec.seq), str(rec.submit_seq), rec.op_text, _status_text(rec)]
     if rec.values is not None:
         parts.append("VALUES=" + encode_values(rec.values))
-    for img in rec.images:
-        parts.append("BEFORE=" + encode_image_side(img.before))
-        parts.append("AFTER=" + encode_image_side(img.after))
+    parts.extend(encode_image(img) for img in rec.images)
     return " ".join(parts)
 
 

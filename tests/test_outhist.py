@@ -1,12 +1,20 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from isoharness import outhist
+from isoharness.analyzer import analyze_history
 from isoharness.dataset import Row, build_canonical_table
+from isoharness.notation import SCHEMA_COLUMNS
 from isoharness.outhist import (
     FormatError,
     OutputHistory,
     OutputRecord,
     RunHeader,
     WriteImage,
+    decode_image_side,
+    encode_image_side,
     parse_output,
     serialize,
 )
@@ -116,3 +124,130 @@ def test_values_empty_list_roundtrip():
     rec = next(r for r in oh.records if r.op_text.startswith("PR1"))
     assert rec.values == []
     assert parse_output(serialize(oh)) == oh
+
+
+# ------------------------------------------------------------ image decoding
+
+_ROW_100 = build_canonical_table(200).rows[100]
+_SIDE_100 = encode_image_side(_ROW_100)
+
+
+@pytest.mark.parametrize("num", ["+5", " 5", "5 ", "1_0", "--5", "-", "", "\u00b2"])
+def test_image_number_outside_language_rejected(num):
+    # int() alone accepts several of these
+    with pytest.raises(ValueError):
+        decode_image_side(_SIDE_100.replace("recval:10000", f"recval:{num}"))
+
+
+@pytest.mark.parametrize("num, value", [("-5", -5), ("0", 0), ("007", 7), ("\u0663", 3)])
+def test_image_number_in_language_accepted(num, value):
+    row = decode_image_side(_SIDE_100.replace("recval:10000", f"recval:{num}"))
+    assert row.values["recval"] == value
+
+
+def test_image_columns_checked():
+    assert decode_image_side(_SIDE_100) == _ROW_100
+    assert decode_image_side("ABSENT") is None
+    with pytest.raises(ValueError):  # unknown column
+        decode_image_side(_SIDE_100.replace("recval:", "recvel:"))
+    with pytest.raises(ValueError):  # missing column
+        decode_image_side(_SIDE_100.rsplit(";", 1)[0])
+    with pytest.raises(ValueError):  # a duplicate in place of a column
+        decode_image_side(_SIDE_100.replace("recval:10000", "reckey:100"))
+
+
+def _regex_decode(text):
+    """Reference: the image-side language as a regular expression."""
+    if text == "ABSENT":
+        return None
+    values = {}
+    for part in text.split(";"):
+        col, _, num = part.partition(":")
+        if col not in SCHEMA_COLUMNS or not re.fullmatch(r"-?\d+", num):
+            raise ValueError(part)
+        values[col] = int(num)
+    if set(values) != set(SCHEMA_COLUMNS):
+        raise ValueError("incomplete")
+    return Row(values)
+
+
+_TEXT_CHARS = "0123456789-+_ :;\n\u00b2\u0663ABSENTrecky"
+_NUMBERS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-", "--", "+", " "]),
+    st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(["", "\u00b2", "\u0663", "1_0"]),
+        st.text(alphabet=_TEXT_CHARS, max_size=3),
+    ),
+    st.sampled_from(["", " ", "_0", "\n"]),
+)
+
+
+@st.composite
+def _image_texts(draw):
+    """Field texts near the language: a full row in any column order with
+    one number replaced and up to two more edits, or arbitrary text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.one_of(st.just("ABSENT"), st.text(alphabet=_TEXT_CHARS, max_size=40)))
+    fields = [[col, str(draw(st.integers(-10**6, 10**6)))]
+              for col in draw(st.permutations(SCHEMA_COLUMNS))]
+    fields[draw(st.integers(0, len(fields) - 1))][1] = draw(_NUMBERS)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["number", "column", "drop", "duplicate"]))
+        if edit == "number":
+            fields[i][1] = draw(_NUMBERS)
+        elif edit == "column":
+            fields[i][0] = draw(st.sampled_from(SCHEMA_COLUMNS + ("", "recvel", "K2")))
+        elif edit == "drop":
+            del fields[i]
+        else:
+            fields.append(list(fields[i]))
+    return ";".join(f"{col}:{num}" for col, num in fields)
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=500)
+@given(_image_texts())
+def test_decoder_matches_regex_reference(text):
+    assert _outcome(decode_image_side, text) == _outcome(_regex_decode, text)
+
+
+# ------------------------------------------------------------ lazy images
+
+
+def test_images_decoded_only_when_a_row_is_needed(monkeypatch):
+    calls = []
+    decode = outhist.decode_image_side
+
+    def counting(text):
+        calls.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(outhist, "decode_image_side", counting)
+    oh, _ = run_text(
+        "PRED(P, k2=0 and k3=0) MAP(A, 100) IL1(RC) IL2(RC) "
+        "SU1(P,5) PR2(P;recval;all) W2(A, 7) C1 C2"
+    )
+    images = [img for rec in oh.records for img in rec.images]
+    assert len(images) == 35  # 34 set-update rows and one write
+    assert calls == []  # the monitor keeps the worker's text
+
+    parsed = parse_output(serialize(oh))
+    assert len(calls) == 2 * len(images)  # parse_output decodes eagerly
+
+    calls.clear()
+    analyze_history(oh)
+    analyze_history(oh)
+    assert len(calls) <= 2 * len(images)
+    for img in images:
+        img.before, img.after, img.reckey, img.value_dicts()
+    assert len(calls) == 2 * len(images)  # each side decoded once, then cached
+    assert parsed == oh and oh == parsed
