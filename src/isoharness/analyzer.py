@@ -214,38 +214,25 @@ def _classify_pair(first: OpView, second: OpView, predicates: Dict[str, Predicat
     cls = None
     resource = None
     membership_known = True
-
-    def predicate_of(op: OpView) -> Optional[PredicateExpr]:
-        return predicates.get(op.step.pred_var)
-
     if _is_write(first) and _is_write(second):
         shared = set(first.write_keys()) & set(second.write_keys())
         if shared:
             cls, resource = "w_w", f"reckey={min(shared)}"
-    elif _is_write(first) and _is_item_read(second):
-        if second.reckey is not None and second.reckey in first.write_keys():
-            cls, resource = "w_r", f"reckey={second.reckey}"
-    elif _is_item_read(first) and _is_write(second):
-        if first.reckey is not None and first.reckey in second.write_keys():
-            cls, resource = "r_w", f"reckey={first.reckey}"
-    elif _is_write(first) and _is_pred_read(second):
-        pred = predicate_of(second)
-        if pred is not None:
-            try:
-                if any(pred.holds(v) for v in first.write_value_dicts()):
-                    cls, resource = "w_pr", f"pred {second.step.pred_var}"
-            except MissingImages:
-                cls, resource = "w_pr", f"pred {second.step.pred_var}"
-                membership_known = False
-    elif _is_pred_read(first) and _is_write(second):
-        pred = predicate_of(first)
-        if pred is not None:
-            try:
-                if any(pred.holds(v) for v in second.write_value_dicts()):
-                    cls, resource = "pr_w", f"pred {first.step.pred_var}"
-            except MissingImages:
-                cls, resource = "pr_w", f"pred {first.step.pred_var}"
-                membership_known = False
+    elif _is_write(first) or _is_write(second):
+        writer, reader = (first, second) if _is_write(first) else (second, first)
+        name = "w_{}" if writer is first else "{}_w"
+        if _is_item_read(reader):
+            if reader.reckey is not None and reader.reckey in writer.write_keys():
+                cls, resource = name.format("r"), f"reckey={reader.reckey}"
+        elif _is_pred_read(reader):
+            pred = predicates.get(reader.step.pred_var)
+            if pred is not None:
+                try:
+                    hit = any(pred.holds(v) for v in writer.write_value_dicts())
+                except MissingImages:
+                    hit, membership_known = True, False
+                if hit:
+                    cls, resource = name.format("pr"), f"pred {reader.step.pred_var}"
     if cls is None:
         return None
     concurrent = bool(

@@ -16,7 +16,14 @@ locks are released when the acquiring operation returns.  A shared predicate
 or range lock conflicts with an exclusive item lock when the written row's
 before- or after-image satisfies the predicate / falls in the range.  Lock
 grants are FIFO per resource; a request never overtakes an earlier
-conflicting waiter.
+conflicting waiter.  Incremental range locks follow the key order only while
+the table flags ``reckey`` as indexed; no other index flag is read.
+
+A lock request and its grant are one record (:class:`LockRequest`): once
+granted, the request itself is held in the lock table.  Every write to an
+existing row (W, RW, D, and each row of a set update) takes one path,
+``Engine._write_row``: the LONG exclusive lock, then, under the mutex, a
+re-check of the row, the before image, the change and its undo entry.
 
 Engine calls may block the calling thread until the request is granted or
 the transaction is chosen as a deadlock victim (youngest in the cycle, by
@@ -159,8 +166,17 @@ class WriteImage:
         return out
 
 
+class _Outcome(Enum):
+    GRANTED = "GRANTED"
+    DEADLOCK = "DEADLOCK"
+    ABANDONED = "ABANDONED"
+
+
 @dataclass
-class LockGrant:
+class LockRequest:
+    """A lock request; once granted, the same object is the grant held in
+    the lock table until it is released."""
+
     txn: int
     resource: object
     mode: LockMode
@@ -169,35 +185,17 @@ class LockGrant:
     # granted but the write not yet applied; afterwards the undo log is
     # authoritative.
     intent: Optional[Callable[[], list]] = None
-
-
-class _Outcome(Enum):
-    GRANTED = "GRANTED"
-    DEADLOCK = "DEADLOCK"
-    ABANDONED = "ABANDONED"
-
-
-@dataclass
-class _LockRequest:
-    txn: int
-    resource: object
-    mode: LockMode
-    duration: LockDuration
-    intent: Optional[Callable[[], list]] = None
-    event: threading.Event = field(default_factory=threading.Event)
+    # Made only when the request is queued: a lock granted at once has no
+    # waiter to wake, and the grant is held for the rest of the transaction.
+    event: Optional[threading.Event] = None
     outcome: Optional[_Outcome] = None
-    grant: Optional[LockGrant] = None
 
 
 @dataclass
 class CursorState:
     cursor_id: int
-    predicate: PredicateExpr
-    columns: Optional[tuple]
-    aggregate: Optional[str]
     position: int = 0  # last reckey returned
     frontier: float = 0.0  # highest key covered by range locks (incremental)
-    open: bool = True
     exhausted: bool = False
 
 
@@ -238,6 +236,11 @@ class LockEvent:
 _INF = math.inf
 
 
+def _add_to_recval(delta: int) -> Callable[[dict], dict]:
+    """The ``after_of`` of a recval increment, for :meth:`Engine._write_row`."""
+    return lambda values: {**values, "recval": values["recval"] + delta}
+
+
 class Engine:
     def __init__(self, table: CanonicalTable, config: Optional[EngineConfig] = None,
                  notify: Optional[Callable[[tuple], None]] = None):
@@ -251,10 +254,10 @@ class Engine:
         # by what can conflict with them: an exclusive grant is an item lock
         # and a row has at most one, so those go by reckey; the shared ones,
         # which only an exclusive request can meet, are kept apart.
-        self._grants: Dict[tuple, LockGrant] = {}
-        self._x_grants: Dict[int, LockGrant] = {}
-        self._s_grants: Dict[tuple, LockGrant] = {}
-        self._waiters: List[_LockRequest] = []
+        self._grants: Dict[tuple, LockRequest] = {}
+        self._x_grants: Dict[int, LockRequest] = {}
+        self._s_grants: Dict[tuple, LockRequest] = {}
+        self._waiters: List[LockRequest] = []
         self._begin_counter = 0
         self._op_counter = 0
         self._event_counter = 0
@@ -364,9 +367,6 @@ class Engine:
         images = self._images_of(x)
         return any(res.predicate.holds(values) for values in images)
 
-    def _held(self, txn: int, resource, mode: LockMode) -> Optional[LockGrant]:
-        return self._grants.get((txn, resource, mode))
-
     def _stamp(self, st: TxnState) -> int:
         self._event_counter += 1
         st.last_event = self._event_counter
@@ -383,20 +383,18 @@ class Engine:
             LockEvent(self._event_counter, txn, action, resource, mode, duration, reason)
         )
 
-    def _grant_now(self, req: _LockRequest) -> LockGrant:
-        grant = LockGrant(req.txn, req.resource, req.mode, req.duration, req.intent)
+    def _grant_now(self, req: LockRequest) -> LockRequest:
         key = (req.txn, req.resource, req.mode)
-        self._grants[key] = grant
+        self._grants[key] = req
         if req.mode is LockMode.X:
-            self._x_grants[req.resource.reckey] = grant
+            self._x_grants[req.resource.reckey] = req
         else:
-            self._s_grants[key] = grant
+            self._s_grants[key] = req
         self._log(req.txn, "ACQUIRE", req.resource, req.mode, req.duration)
-        req.grant = grant
         req.outcome = _Outcome.GRANTED
-        return grant
+        return req
 
-    def _rivals(self, req: _LockRequest):
+    def _rivals(self, req: LockRequest):
         """The grants that can conflict with ``req``: S/S never conflict, and
         an item lock meets only the exclusive grant on its own row."""
         res = req.resource
@@ -408,7 +406,7 @@ class Engine:
             rivals.extend(self._s_grants.values())
         return rivals
 
-    def _blockers(self, req: _LockRequest, queue_prefix) -> set:
+    def _blockers(self, req: LockRequest, queue_prefix) -> set:
         out = set()
         for g in self._rivals(req):
             if self._conflict(req, g):
@@ -451,6 +449,8 @@ class Engine:
         self._grant_pass()
 
     def _release_grants(self, grants, reason: str) -> None:
+        if not grants:
+            return
         with self._mu:
             for g in grants:
                 key = (g.txn, g.resource, g.mode)
@@ -486,7 +486,7 @@ class Engine:
                     stack.append((nxt, path + (nxt,)))
         return None
 
-    def _resolve_deadlocks(self, requester: _LockRequest) -> None:
+    def _resolve_deadlocks(self, requester: LockRequest) -> None:
         """Break every wait cycle through the requester by rolling back the
         youngest member of each; the rollback may grant the request."""
         while requester.outcome is None:
@@ -504,7 +504,7 @@ class Engine:
                 req.event.set()
 
     def _acquire(self, st: TxnState, resource, mode: LockMode, duration: LockDuration,
-                 intent: Optional[Callable[[], list]] = None) -> Tuple[LockGrant, bool]:
+                 intent: Optional[Callable[[], list]] = None) -> Tuple[LockRequest, bool]:
         """Acquire a lock, blocking as needed.
 
         Returns (grant, fresh): ``fresh`` is False when an identical grant was
@@ -515,14 +515,15 @@ class Engine:
         with self._mu:
             if self._shutdown:
                 raise EngineShutdown("engine is shut down")
-            held = self._held(st.txn, resource, mode)
+            held = self._grants.get((st.txn, resource, mode))
             if held is not None:
                 if intent is not None:
                     held.intent = intent
                 return held, False
-            req = _LockRequest(st.txn, resource, mode, duration, intent)
+            req = LockRequest(st.txn, resource, mode, duration, intent)
             if not self._blockers(req, self._waiters):
                 return self._grant_now(req), True
+            req.event = threading.Event()
             self._waiters.append(req)
             self._resolve_deadlocks(req)
             if req.outcome is None:
@@ -530,10 +531,17 @@ class Engine:
                 self._post(st, PARK)
         req.event.wait()
         if req.outcome is _Outcome.GRANTED:
-            return req.grant, True
+            return req, True
         if req.outcome is _Outcome.DEADLOCK:
             raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
         raise EngineShutdown("pending lock request abandoned")
+
+    def _read_lock(self, st: TxnState, resource, duration: LockDuration, short: list) -> None:
+        """Acquire a shared lock; a fresh SHORT one is added to ``short``, the
+        grants the operation releases when it ends."""
+        grant, fresh = self._acquire(st, resource, LockMode.S, duration)
+        if fresh and grant.duration is LockDuration.SHORT:
+            short.append(grant)
 
     # ------------------------------------------------------------ inspection
 
@@ -594,8 +602,9 @@ class Engine:
                     raise RowNotFound(f"row {reckey} is deleted (uncommitted)")
                 return row.values[column]
             duration = self._item_read_duration(st.level)
-        grant, fresh = self._acquire(st, ItemResource(reckey), LockMode.S, duration)
+        short: list = []
         try:
+            self._read_lock(st, ItemResource(reckey), duration, short)
             with self._mu:
                 self._stamp(st)
                 row = self.table.rows.get(reckey)
@@ -603,76 +612,69 @@ class Engine:
                     raise RowNotFound(f"no row with reckey {reckey}")
                 return row.values[column]
         finally:
-            if fresh and grant.duration is LockDuration.SHORT:
-                self._release_grants([grant], "OP_END")
+            self._release_grants(short, "OP_END")
 
-    def _write_intent(self, reckey: int, updates: Optional[dict], delta: int = 1):
-        def images() -> list:
+    def _write_row(self, st: TxnState, reckey: int, after_of: Callable[[dict], Optional[dict]],
+                   predicate: Optional[PredicateExpr] = None) -> Optional[WriteImage]:
+        """The one write path for existing rows: take the LONG exclusive lock,
+        then, if the row is still there and still satisfies ``predicate``,
+        apply ``after_of`` and log the undo image.  ``after_of`` maps the
+        row's values to new ones, or to None for a delete.  Returns None when
+        nothing was written."""
+
+        def intent() -> list:
             row = self.table.rows.get(reckey)
             if row is None:
                 return []
-            after = dict(row.values)
-            if updates is None:
-                after["recval"] += delta
-            else:
-                after.update(updates)
-            return [row.values, after]
+            after = after_of(row.values)
+            return [row.values] if after is None else [row.values, after]
 
-        return images
+        grant, _ = self._acquire(st, ItemResource(reckey), LockMode.X, LockDuration.LONG, intent)
+        with self._mu:
+            self._stamp(st)
+            grant.intent = None
+            row = self.table.rows.get(reckey)
+            if row is None or row.tombstone or (
+                predicate is not None and not eval_predicate(row, predicate)
+            ):
+                return None
+            before = row.copy()
+            after = after_of(row.values)
+            if after is None:
+                row.tombstone = True
+            else:
+                row.values.update(after)
+            image = WriteImage(self._next_op_seq(), reckey, before,
+                               None if after is None else Row(after))
+            st.undo.append(image)
+            return image
+
+    def _write_item(self, txn: int, reckey: int, after_of: Callable[[dict], Optional[dict]]) -> WriteImage:
+        """An item write (W, RW, D) through :meth:`_write_row`."""
+        with self._mu:
+            st = self._require_active(txn)
+            self._check_writable(st)
+            self._visible_row(st, reckey)
+        image = self._write_row(st, reckey, after_of)
+        if image is None:
+            raise RowNotFound(f"no row with reckey {reckey}")
+        return image
 
     def write_item(self, txn: int, reckey: int, column_values: Optional[dict] = None) -> WriteImage:
         """Update a row; ``column_values`` None means the default recval += 1."""
-        if column_values:
-            for col in column_values:
-                if col not in SCHEMA_COLUMNS:
-                    raise UnknownColumn(col)
-            if "reckey" in column_values:
-                raise InvalidWrite("primary key cannot be updated")
-        with self._mu:
-            st = self._require_active(txn)
-            self._check_writable(st)
-            self._visible_row(st, reckey)
-        grant, _ = self._acquire(
-            st, ItemResource(reckey), LockMode.X, LockDuration.LONG,
-            intent=self._write_intent(reckey, column_values),
-        )
-        with self._mu:
-            self._stamp(st)
-            row = self.table.rows.get(reckey)
-            if row is None or row.tombstone:
-                raise RowNotFound(f"no row with reckey {reckey}")
-            before = row.copy()
-            if column_values is None:
-                row.values["recval"] += 1
-            else:
-                row.values.update(column_values)
-            image = WriteImage(self._next_op_seq(), reckey, before, row.copy())
-            st.undo.append(image)
-            grant.intent = None
-            return image
+        if column_values is None:
+            return self._write_item(txn, reckey, _add_to_recval(1))
+        for col in column_values:
+            if col not in SCHEMA_COLUMNS:
+                raise UnknownColumn(col)
+        if "reckey" in column_values:
+            raise InvalidWrite("primary key cannot be updated")
+        return self._write_item(txn, reckey, lambda values: {**values, **column_values})
 
     def rw_item(self, txn: int, reckey: int) -> Tuple[int, WriteImage]:
         """Indivisible read-then-increment of recval; returns the value read."""
-        with self._mu:
-            st = self._require_active(txn)
-            self._check_writable(st)
-            self._visible_row(st, reckey)
-        grant, _ = self._acquire(
-            st, ItemResource(reckey), LockMode.X, LockDuration.LONG,
-            intent=self._write_intent(reckey, None),
-        )
-        with self._mu:
-            self._stamp(st)
-            row = self.table.rows.get(reckey)
-            if row is None or row.tombstone:
-                raise RowNotFound(f"no row with reckey {reckey}")
-            value = row.values["recval"]
-            before = row.copy()
-            row.values["recval"] = value + 1
-            image = WriteImage(self._next_op_seq(), reckey, before, row.copy())
-            st.undo.append(image)
-            grant.intent = None
-            return value, image
+        image = self._write_item(txn, reckey, _add_to_recval(1))
+        return image.before.values["recval"], image
 
     def _default_insert_values(self, reckey: int) -> dict:
         values = {"reckey": reckey, "recval": reckey * 100}
@@ -726,50 +728,27 @@ class Engine:
         )
         with self._mu:
             self._stamp(st)
+            grant.intent = None
             if reserve_now:
                 self.table.rows[key].tombstone = False
-                grant.intent = None
                 return key, image
             existing = self.table.rows.get(key)
             if existing is not None and not existing.tombstone:
-                grant.intent = None
                 raise DuplicateKey(f"reckey {key} already present")
             row = Row(dict(values))
             self.table.put(key, row)
             image = WriteImage(self._next_op_seq(), key, None, row.copy())
             st.undo.append(image)
-            grant.intent = None
             return key, image
 
     def delete_item(self, txn: int, reckey: int) -> WriteImage:
-        with self._mu:
-            st = self._require_active(txn)
-            self._check_writable(st)
-            self._visible_row(st, reckey)
-
-        def intent() -> list:
-            row = self.table.rows.get(reckey)
-            return [row.values] if row is not None else []
-
-        grant, _ = self._acquire(st, ItemResource(reckey), LockMode.X, LockDuration.LONG, intent=intent)
-        with self._mu:
-            self._stamp(st)
-            row = self.table.rows.get(reckey)
-            if row is None or row.tombstone:
-                raise RowNotFound(f"no row with reckey {reckey}")
-            before = row.copy()
-            row.tombstone = True
-            image = WriteImage(self._next_op_seq(), reckey, before, None)
-            st.undo.append(image)
-            grant.intent = None
-            return image
+        return self._write_item(txn, reckey, lambda values: None)
 
     # -------------------------------------------------------- predicate ops
 
-    def _open_cursor(self, st: TxnState, pred_var: str, predicate: PredicateExpr,
-                     columns: Optional[tuple], aggregate: Optional[str]) -> CursorState:
+    def _open_cursor(self, st: TxnState, pred_var: str) -> CursorState:
         cursor = st.cursors.get(pred_var)
-        if cursor is not None and cursor.open:
+        if cursor is not None:
             return cursor
         if len(st.cursors) >= MAX_CURSORS_PER_TXN:
             raise CursorLimitExceeded(
@@ -777,7 +756,7 @@ class Engine:
             )
         used = {c.cursor_id for c in st.cursors.values()}
         cursor_id = min(i for i in range(1, MAX_CURSORS_PER_TXN + 1) if i not in used)
-        cursor = CursorState(cursor_id, predicate, columns, aggregate)
+        cursor = CursorState(cursor_id)
         st.cursors[pred_var] = cursor
         return cursor
 
@@ -820,38 +799,22 @@ class Engine:
         rows: list = []
         with self._mu:
             st = self._require_active(txn)
-            cursor = self._open_cursor(st, pred_var, predicate, columns, aggregate)
-            cursor_id = cursor.cursor_id
-        short_grants = []
+            cursor = self._open_cursor(st, pred_var)
+        duration = self._pred_read_duration(st.level)
+        short: list = []
         try:
             # Predicate-scope locking: one shared lock on the predicate itself.
             if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
-                grant, fresh = self._acquire(
-                    st, PredicateResource(predicate), LockMode.S, self._pred_read_duration(st.level)
-                )
-                if fresh and grant.duration is LockDuration.SHORT:
-                    short_grants.append(grant)
+                self._read_lock(st, PredicateResource(predicate), duration, short)
             if aggregate:
-                plan_key = _INF
-                while True:
-                    with self._mu:
-                        need = self._scan_lock_plan(st, cursor, plan_key)
-                        if need is None:
-                            if not cursor.exhausted:
-                                count = sum(
-                                    1 for _ in self._iter_matches(predicate)
-                                )
-                                rows = [(count,)]
-                                cursor.exhausted = True
-                            cursor.frontier = max(cursor.frontier, plan_key)
-                            break
-                    grant, fresh = self._acquire(
-                        st, need, LockMode.S, self._pred_read_duration(st.level)
-                    )
-                    if fresh and grant.duration is LockDuration.SHORT:
-                        short_grants.append(grant)
-                    with self._mu:
-                        cursor.frontier = max(cursor.frontier, need.high)
+                need = self._scan_lock_plan(st, cursor, _INF)
+                if need is not None:
+                    self._read_lock(st, need, duration, short)
+                with self._mu:
+                    cursor.frontier = _INF
+                    if not cursor.exhausted:
+                        rows = [(sum(1 for _ in self._iter_matches(predicate)),)]
+                        cursor.exhausted = True
             else:
                 while True:
                     with self._mu:
@@ -860,8 +823,8 @@ class Engine:
                         key = self._next_match(predicate, cursor.position)
                         if key is None:
                             cursor.exhausted = True
-                            tail = self._scan_lock_plan(st, cursor, _INF) if drain else None
-                            if tail is None:
+                            need = self._scan_lock_plan(st, cursor, _INF) if drain else None
+                            if need is None:
                                 break
                         else:
                             need = self._scan_lock_plan(st, cursor, key)
@@ -873,25 +836,16 @@ class Engine:
                                 rows.append(out)
                                 cursor.position = key
                                 continue
-                            tail = need
-                    grant, fresh = self._acquire(
-                        st, tail, LockMode.S, self._pred_read_duration(st.level)
-                    )
-                    if fresh and grant.duration is LockDuration.SHORT:
-                        short_grants.append(grant)
+                    self._read_lock(st, need, duration, short)
                     with self._mu:
-                        cursor.frontier = max(cursor.frontier, tail.high)
-            closed = False
+                        cursor.frontier = max(cursor.frontier, need.high)
             with self._mu:
                 self._stamp(st)
                 if drain:
-                    cursor.open = False
                     st.cursors.pop(pred_var, None)
-                    closed = True
-            return rows, closed, cursor_id
+            return rows, drain, cursor.cursor_id
         finally:
-            if short_grants:
-                self._release_grants(short_grants, "OP_END")
+            self._release_grants(short, "OP_END")
 
     def _iter_matches(self, predicate: PredicateExpr):
         for key in self.table.keys:
@@ -910,6 +864,7 @@ class Engine:
         with self._mu:
             st = self._require_active(txn)
             self._check_writable(st)
+        after_of = _add_to_recval(delta)
         images: List[WriteImage] = []
         position = 0
         while True:
@@ -918,22 +873,10 @@ class Engine:
                 if key is None:
                     self._stamp(st)
                     break
-            grant, _ = self._acquire(
-                st, ItemResource(key), LockMode.X, LockDuration.LONG,
-                intent=self._write_intent(key, None, delta),
-            )
-            with self._mu:
-                position = key
-                row = self.table.rows.get(key)
-                if row is None or row.tombstone or not eval_predicate(row, predicate):
-                    grant.intent = None
-                    continue
-                before = row.copy()
-                row.values["recval"] += delta
-                image = WriteImage(self._next_op_seq(), key, before, row.copy())
-                st.undo.append(image)
+            position = key
+            image = self._write_row(st, key, after_of, predicate)
+            if image is not None:
                 images.append(image)
-                grant.intent = None
         return len(images), images
 
     def set_select(self, txn: int, predicate: PredicateExpr, aggregate: str = "sum") -> int:
@@ -941,23 +884,19 @@ class Engine:
         predicate read at the transaction's level (no variable binding)."""
         with self._mu:
             st = self._require_active(txn)
-        short_grants = []
+        short: list = []
         try:
             if st.level != IsolationLevel.RU:
                 if self.config.lock_scope is LockScope.PREDICATE:
                     resource = PredicateResource(predicate)
                 else:
                     resource = RangeResource(0.0, _INF)
-                grant, fresh = self._acquire(
-                    st, resource, LockMode.S, self._pred_read_duration(st.level)
-                )
-                if fresh and grant.duration is LockDuration.SHORT:
-                    short_grants.append(grant)
+                self._read_lock(st, resource, self._pred_read_duration(st.level), short)
             with self._mu:
                 self._stamp(st)
                 if aggregate == "count":
                     return sum(1 for _ in self._iter_matches(predicate))
                 return sum(row.values["recval"] for row in self._iter_matches(predicate))
         finally:
-            if short_grants:
-                self._release_grants(short_grants, "OP_END")
+            self._release_grants(short, "OP_END")
+

@@ -102,8 +102,7 @@ class DispatchRecord:
     step_index: int
     txn: int
     submit_event: int
-    completion_event: Optional[int] = None  # None while PENDING
-    status: str = "PENDING"
+    completion_event: Optional[int] = None  # None while pending
 
 
 # ------------------------------------------------------------ frame protocol
@@ -470,7 +469,6 @@ class Monitor:
         op_text = render_step(step, self.env.row_vars, compact=True)
         if error is not None:
             dispatch.completion_event = self._tick()
-            dispatch.status = STATUS_ERROR
             self._emit(
                 OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=error[0])
             )
@@ -503,7 +501,6 @@ class Monitor:
                 self._complete(pend, what)
                 resumed.extend(self.deferred.pop(pend.step.txn, []))
             elif pend.blocked_seq is None:  # a re-park of a resumed request adds no record
-                pend.dispatch.status = STATUS_BLOCKED
                 blocked = self._emit(
                     OutputRecord(0, pend.submit_seq, pend.step.txn, pend.op_text, STATUS_BLOCKED)
                 )
@@ -527,11 +524,9 @@ class Monitor:
                 values=self._record_values(step, values),
                 images=images,
             )
-            pend.dispatch.status = status
             self._emit(rec)
             return
         status, error_code = self._status_for_failure(code)
-        pend.dispatch.status = status
         self._emit(
             OutputRecord(
                 0, pend.submit_seq, step.txn, pend.op_text, status, error_code=error_code,
@@ -556,7 +551,6 @@ class Monitor:
             else:
                 self.env.row_vars[step.row_var] = step.literal
         dispatch.completion_event = self._tick()
-        dispatch.status = status
         self._emit(
             OutputRecord(
                 0, self._submit_seq, 0,

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from isoharness.cli import main, run_campaign
+from isoharness.engine import EngineConfig, LockScope
 from isoharness.executor import ExecutorConfig
 from isoharness.notation import IsolationLevel as IL
 from isoharness.outhist import parse_output
@@ -157,3 +158,14 @@ def test_campaign_report_determinism():
 
     for key in a.cells:
         assert serialize(a.cells[key].output) == serialize(b.cells[key].output)
+
+
+@pytest.mark.parametrize("scope", [LockScope.PREDICATE, LockScope.INCREMENTAL_RANGE])
+def test_campaign_insert_delete_set_update_grid(scope):
+    # the end-to-end runs of deletes and set updates through the engine
+    report = run_campaign(
+        fast_config(engine=EngineConfig(lock_scope=scope)),
+        variants=("insert", "delete", "set_update"),
+    )
+    assert dict(report.totals) == {"EXECUTED": 21, "BLOCKED": 60}
+    assert report.findings() == []

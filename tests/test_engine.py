@@ -10,16 +10,20 @@ from isoharness.engine import (
     DuplicateTxn,
     Engine,
     EngineConfig,
+    InvalidWrite,
     IsolationLevel as IL,
+    ItemResource,
     LockDuration,
+    LockMode,
     LockScope,
+    RangeResource,
     ReadOnlyViolation,
     RowNotFound,
     Strictness,
     TxnStatus,
     UnknownTxn,
 )
-from isoharness.notation import parse_predicate
+from isoharness.notation import UnknownColumn, parse_predicate
 
 from conftest import OpThread, wait_until
 
@@ -35,6 +39,15 @@ def make_engine(rows=200, scope=LockScope.PREDICATE, strict=False, ru_writes=Fal
 
 
 PRED_K = parse_predicate("k2=1 and k3<2")
+
+X, S = LockMode.X, LockMode.S
+LONG = LockDuration.LONG
+
+
+def lock_trace(e):
+    """The engine's lock events without their event numbers."""
+    return [(ev.action, ev.txn, ev.resource, ev.mode, ev.duration, ev.reason)
+            for ev in e.lock_events]
 
 
 # ----------------------------------------------------------------- begin
@@ -89,8 +102,6 @@ def test_read_other_columns():
     e.begin(1, IL.RC)
     assert e.read_item(1, 400, "k2") == 1
     assert e.read_item(1, 400, "c100") == 3
-    from isoharness.notation import UnknownColumn
-
     with pytest.raises(UnknownColumn):
         e.read_item(1, 400, "k7")
 
@@ -148,6 +159,19 @@ def test_write_default_increments():
     assert image.after.values["recval"] == 10001
 
 
+def test_write_rejects_bad_columns_before_locking():
+    e = make_engine()
+    e.begin(1, IL.RC)
+    e.begin(2, IL.RC)
+    e.write_item(2, 100, None)  # a lock the bad writes would have to wait for
+    with pytest.raises(UnknownColumn):
+        e.write_item(1, 100, {"k7": 1})
+    with pytest.raises(InvalidWrite):
+        e.write_item(1, 100, {"reckey": 150})
+    assert e.held_locks(1) == []
+    assert lock_trace(e) == [("ACQUIRE", 2, ItemResource(100), X, LONG, "")]
+
+
 def test_write_into_held_predicate_blocks():
     # a completed predicate read at SR leaves a long predicate lock; a write
     # that touches a matching row must wait
@@ -202,6 +226,25 @@ def test_rw_concurrent_blocks():
     assert other.still_blocked()
     e.commit(1)
     assert other.outcome()[0] == 10001
+
+
+def test_rw_behind_committed_delete_finds_no_row():
+    e = make_engine()
+    e.begin(1, IL.RC)
+    e.begin(2, IL.RC)
+    e.delete_item(1, 100)
+    other = OpThread(e.rw_item, 2, 100)
+    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    e.commit(1)
+    with pytest.raises(RowNotFound):
+        other.outcome()
+    assert [(g.resource, g.mode) for g in e.held_locks(2)] == [(ItemResource(100), X)]
+    assert e.txns[2].undo == []
+    assert lock_trace(e) == [
+        ("ACQUIRE", 1, ItemResource(100), X, LONG, ""),
+        ("RELEASE", 1, ItemResource(100), X, LONG, "TERMINATION"),
+        ("ACQUIRE", 2, ItemResource(100), X, LONG, ""),
+    ]
 
 
 # ----------------------------------------------------------------- insert
@@ -342,6 +385,26 @@ def test_pr_numbered_cursor_never_freed_even_exhausted():
     assert e.txns[1].cursors["P"].exhausted
 
 
+def test_incremental_count_waits_for_insert_then_locks_whole_range():
+    e = make_engine(scope=LockScope.INCREMENTAL_RANGE)
+    e.begin(1, IL.SR)
+    e.begin(2, IL.RC)
+    e.insert_item(2, 150, {})
+    counter = OpThread(e.predicate_read, 1, "P", parse_predicate("k2=0"), None, 1,
+                       aggregate="count")
+    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    e.rollback(2)
+    rows, closed, _ = counter.outcome()
+    assert rows == [(100,)] and not closed
+    whole = RangeResource(0.0, float("inf"))
+    assert [(g.resource, g.mode, g.duration) for g in e.held_locks(1)] == [(whole, S, LONG)]
+    assert lock_trace(e) == [
+        ("ACQUIRE", 2, ItemResource(150), X, LONG, ""),
+        ("RELEASE", 2, ItemResource(150), X, LONG, "TERMINATION"),
+        ("ACQUIRE", 1, whole, S, LONG, ""),
+    ]
+
+
 def test_cursor_pool_limit():
     e = make_engine()
     e.begin(1, IL.RC)
@@ -425,6 +488,29 @@ def test_set_update_blocked_by_read_lock_on_match():
     assert updater.still_blocked()
     e.commit(1)
     assert updater.outcome()[0] == 100
+
+
+def test_set_update_skips_row_that_leaves_predicate_while_waiting():
+    e = make_engine()
+    e.begin(1, IL.RC)
+    e.begin(2, IL.RC)
+    pred = parse_predicate("recval<25000")  # rows 100 and 200
+    e.write_item(1, 100, {"recval": 15000})  # still inside the predicate
+    updater = OpThread(e.set_update, 2, pred, 1)
+    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    e.write_item(1, 100, {"recval": 99999})  # now outside it
+    e.commit(1)
+    count, images = updater.outcome()
+    assert count == 1 and [img.reckey for img in images] == [200]
+    assert [img.reckey for img in e.txns[2].undo] == [200]
+    assert e.table.rows[100].values["recval"] == 99999
+    assert e.table.rows[200].values["recval"] == 20001
+    assert lock_trace(e) == [
+        ("ACQUIRE", 1, ItemResource(100), X, LONG, ""),
+        ("RELEASE", 1, ItemResource(100), X, LONG, "TERMINATION"),
+        ("ACQUIRE", 2, ItemResource(100), X, LONG, ""),
+        ("ACQUIRE", 2, ItemResource(200), X, LONG, ""),
+    ]
 
 
 def test_set_select_sum():

@@ -21,7 +21,7 @@ from isoharness.executor import (
     handle_frame,
     run_history,
 )
-from isoharness.notation import IsolationLevel, parse_history, parse_predicate
+from isoharness.notation import IsolationLevel, parse_history
 from isoharness.outhist import (
     STATUS_BLOCKED,
     STATUS_ERROR,
@@ -314,17 +314,25 @@ def test_deadlock_victim_recorded_before_survivor_completes():
         assert mon.engine.table.rows[200].values["recval"] == 9
 
 
-def test_slow_scan_that_never_waits_is_not_blocked():
-    rows = 5000
-    engine = Engine(build_canonical_table(rows), EngineConfig())
-    engine.begin(1, IsolationLevel.RC)
-    t0 = time.perf_counter()
-    engine.predicate_read(1, "P", parse_predicate("k2=0 and k3=0"), ("reckey",), "all")
-    scan_s = time.perf_counter() - t0
-    # the scan runs about twice the timeout, well inside the 4x stuck guard
+def test_slow_scan_that_never_waits_is_not_blocked(monkeypatch):
+    # The real scan plus a sleep of twice the timeout: slower than the
+    # timeout, well inside the 4x stuck guard, whatever the machine load.
+    rows, timeout = 5000, 0.25
+    scan = Engine.predicate_read
+    took = []
+
+    def slow_scan(self, *args, **kwargs):
+        t0 = time.perf_counter()
+        result = scan(self, *args, **kwargs)
+        time.sleep(2 * timeout)
+        took.append(time.perf_counter() - t0)
+        return result
+
+    monkeypatch.setattr(Engine, "predicate_read", slow_scan)
     oh, _ = run_text(
-        "PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;reckey;all) C1", rows=rows, timeout=scan_s / 2
+        "PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;reckey;all) C1", rows=rows, timeout=timeout
     )
+    assert len(took) == 1 and took[0] > timeout
     assert not oh.header.stuck
     scan = [r for r in oh.records if r.op_text.startswith("PR1")]
     assert [r.status for r in scan] == [STATUS_OK]
