@@ -5,14 +5,17 @@ rows.  Row i (1-based) carries reckey 100*i, recval 10000*i, and
 kN = cN = (i-1) mod N.  The kN columns are flagged as indexed, the cN columns
 are not; index flags only influence the engine's incremental range locking.
 The only physical index is the sorted list of reckeys.
+
+The kN/cN values repeat every 300 rows, so each row is a copy of one of 300
+template rows, keyed in ``SCHEMA_COLUMNS`` order, with its reckey and recval set.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from .notation import (
     PredicateExpr,
@@ -53,10 +56,8 @@ class Row:
 
 def initial_row(i: int) -> Row:
     """The i-th (1-based) row of the canonical table."""
-    values = {"reckey": 100 * i, "recval": 10000 * i}
-    for n in SCHEMA_COLUMN_SUFFIXES:
-        values[f"k{n}"] = values[f"c{n}"] = (i - 1) % n
-    return Row(values)
+    mods = [(i - 1) % n for n in SCHEMA_COLUMN_SUFFIXES]  # the cN, then the kN
+    return Row(dict(zip(SCHEMA_COLUMNS, [100 * i, 10000 * i] + mods + mods)))
 
 
 @dataclass
@@ -96,23 +97,21 @@ class CanonicalTable:
         return {k: r.copy() for k, r in self.rows.items() if not r.tombstone}
 
 
-@lru_cache(maxsize=8)
-def _base_rows(row_count: int) -> Tuple[tuple, ...]:
-    """Each canonical row's values in ``SCHEMA_COLUMNS`` order, built once
-    per row count.  Tuples, because they are shared by every table built."""
-    return tuple(
-        tuple(map(initial_row(i).values.__getitem__, SCHEMA_COLUMNS))
-        for i in range(1, row_count + 1)
-    )
+#: Row i's kN/cN values are those of template (i-1) % _PERIOD (300 rows).
+_PERIOD = math.lcm(*SCHEMA_COLUMN_SUFFIXES)
+_TEMPLATES = tuple(initial_row(i).values for i in range(1, _PERIOD + 1))
 
 
 def build_canonical_table(row_count: int = DEFAULT_ROW_COUNT) -> CanonicalTable:
     """A fresh table: the engine mutates ``Row.values`` in place."""
     if row_count <= 0 or row_count % 100 != 0:
         raise InvalidRowCount(f"row count must be a positive multiple of 100, got {row_count}")
-    rows = {  # reckey is the first column
-        values[0]: Row(dict(zip(SCHEMA_COLUMNS, values))) for values in _base_rows(row_count)
-    }
+    rows = {}
+    for i in range(1, row_count + 1):
+        values = _TEMPLATES[(i - 1) % _PERIOD].copy()
+        values["reckey"] = 100 * i
+        values["recval"] = 10000 * i
+        rows[100 * i] = Row(values)
     return CanonicalTable(rows=rows, row_count=row_count)
 
 

@@ -210,7 +210,17 @@ class TxnState:
     status: TxnStatus = TxnStatus.ACTIVE
     cursors: Dict[str, CursorState] = field(default_factory=dict)
     undo: List[WriteImage] = field(default_factory=list)
+    # The same images by reckey, so a conflict check reads only its row's.
+    undo_by_key: Dict[int, List[WriteImage]] = field(default_factory=dict)
     last_event: int = 0
+
+    def log_undo(self, image: WriteImage) -> None:
+        self.undo.append(image)
+        self.undo_by_key.setdefault(image.reckey, []).append(image)
+
+    def clear_undo(self) -> None:
+        self.undo.clear()
+        self.undo_by_key.clear()
 
 
 @dataclass
@@ -285,7 +295,7 @@ class Engine:
                     row = self.table.rows.get(img.reckey)
                     if row is not None and row.tombstone:
                         self.table.drop(img.reckey)
-            st.undo.clear()
+            st.clear_undo()
             st.cursors.clear()
             st.status = TxnStatus.COMMITTED
             self._stamp(st)
@@ -304,7 +314,7 @@ class Engine:
                 self.table.drop(img.reckey)
             else:
                 self.table.put(img.reckey, Row(dict(img.before.values)))
-        st.undo.clear()
+        st.clear_undo()
         st.cursors.clear()
         st.status = TxnStatus.ABORTED
         self._stamp(st)
@@ -343,10 +353,8 @@ class Engine:
         out = []
         holder = self.txns.get(entry.txn)
         if holder is not None:
-            key = entry.resource.reckey
-            for img in holder.undo:
-                if img.reckey == key:
-                    out.extend(img.value_dicts())
+            for img in holder.undo_by_key.get(entry.resource.reckey, ()):
+                out.extend(img.value_dicts())
         if entry.intent is not None:
             out.extend(entry.intent())
         return out
@@ -586,10 +594,8 @@ class Engine:
         return row
 
     def _tombstoned_by(self, st: TxnState, reckey: int) -> bool:
-        for img in reversed(st.undo):
-            if img.reckey == reckey:
-                return img.after is None
-        return False
+        images = st.undo_by_key.get(reckey)
+        return images is not None and images[-1].after is None
 
     def read_item(self, txn: int, reckey: int, column: str = "recval") -> int:
         if column not in SCHEMA_COLUMNS:
@@ -646,7 +652,7 @@ class Engine:
                 row.values.update(after)
             image = WriteImage(self._next_op_seq(), reckey, before,
                                None if after is None else Row(after))
-            st.undo.append(image)
+            st.log_undo(image)
             return image
 
     def _write_item(self, txn: int, reckey: int, after_of: Callable[[dict], Optional[dict]]) -> WriteImage:
@@ -721,7 +727,7 @@ class Engine:
                 row = Row(values, tombstone=True)
                 self.table.put(key, row)
                 image = WriteImage(self._next_op_seq(), key, None, Row(dict(values)))
-                st.undo.append(image)
+                st.log_undo(image)
         grant, _ = self._acquire(
             st, ItemResource(key), LockMode.X, LockDuration.LONG,
             intent=(lambda: [values]) if not reserve_now else None,
@@ -738,7 +744,7 @@ class Engine:
             row = Row(dict(values))
             self.table.put(key, row)
             image = WriteImage(self._next_op_seq(), key, None, row.copy())
-            st.undo.append(image)
+            st.log_undo(image)
             return key, image
 
     def delete_item(self, txn: int, reckey: int) -> WriteImage:

@@ -13,6 +13,8 @@ history with its intended conflict class).
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -99,6 +101,20 @@ RelOp = str  # one of = < > <= >= <>
 
 _REL_OPS = ("<=", ">=", "<>", "=", "<", ">")
 
+#: The operators but "=", which a comparison compiles to an inline ``==``.
+_REL_FUNCS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+              "<>": operator.ne}
+
+
+# And/Or fold their items' tests into nested binary closures: a generator
+# under all() or any() costs several times more per row.
+def _both(f, g):
+    return lambda v: f(v) and g(v)
+
+
+def _either(f, g):
+    return lambda v: f(v) or g(v)
+
 
 @dataclass(frozen=True)
 class Comparison:
@@ -106,35 +122,45 @@ class Comparison:
     op: RelOp
     value: int
 
-    def holds(self, row_values) -> bool:
-        v = row_values[self.column]
+    @functools.cached_property
+    def test(self):
+        """``holds`` compiled once per predicate object."""
+        col, k = self.column, self.value
         if self.op == "=":
-            return v == self.value
-        if self.op == "<":
-            return v < self.value
-        if self.op == ">":
-            return v > self.value
-        if self.op == "<=":
-            return v <= self.value
-        if self.op == ">=":
-            return v >= self.value
-        return v != self.value  # <>
+            return lambda v: v[col] == k
+        rel = _REL_FUNCS[self.op]
+        return lambda v: rel(v[col], k)
+
+    def holds(self, row_values) -> bool:
+        return self.test(row_values)
 
 
 @dataclass(frozen=True)
 class And:
     items: tuple
 
+    @functools.cached_property
+    def test(self):
+        if not self.items:
+            return lambda v: True
+        return functools.reduce(_both, (item.test for item in self.items))
+
     def holds(self, row_values) -> bool:
-        return all(item.holds(row_values) for item in self.items)
+        return self.test(row_values)
 
 
 @dataclass(frozen=True)
 class Or:
     items: tuple
 
+    @functools.cached_property
+    def test(self):
+        if not self.items:
+            return lambda v: False
+        return functools.reduce(_either, (item.test for item in self.items))
+
     def holds(self, row_values) -> bool:
-        return any(item.holds(row_values) for item in self.items)
+        return self.test(row_values)
 
 
 PredicateExpr = Union[Comparison, And, Or]

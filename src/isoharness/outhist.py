@@ -18,6 +18,7 @@ encodes each image once; the monitor keeps that text (:class:`ImageText`), which
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -98,10 +99,14 @@ class OutputHistory:
 # ----------------------------------------------------------------- encoding
 
 
+_SIDE_FORMAT = ";".join(f"{col}:%d" for col in SCHEMA_COLUMNS)
+_SIDE_VALUES = operator.itemgetter(*SCHEMA_COLUMNS)
+
+
 def encode_image_side(row: Optional[Row]) -> str:
     if row is None:
         return "ABSENT"
-    return ";".join(f"{col}:{row.values[col]}" for col in SCHEMA_COLUMNS)
+    return _SIDE_FORMAT % _SIDE_VALUES(row.values)
 
 
 def decode_image_side(text: str) -> Optional[Row]:

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from isoharness import engine as engine_module
 from isoharness.dataset import (
     InvalidRowCount,
     Row,
     build_canonical_table,
     dump_tsv,
     eval_predicate,
+    initial_row,
 )
-from isoharness.notation import And, Comparison, parse_predicate
+from isoharness.engine import Engine, EngineConfig
+from isoharness.notation import SCHEMA_COLUMNS, And, Comparison, IsolationLevel, Or, parse_predicate
 
 from oracles import eval_pred_oracle, match_count_oracle, table_rows_oracle
 
@@ -64,14 +67,33 @@ def test_determinism():
     assert not {id(r.values) for r in a.rows.values()} & {id(r.values) for r in b.rows.values()}
 
 
+@pytest.mark.parametrize("n", [100, 300, 400, 2000])
+def test_every_row_is_the_initial_row_in_schema_order(n):
+    table = build_canonical_table(n)
+    assert table.keys == [100 * i for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        row = table.rows[100 * i]
+        assert row == initial_row(i)
+        assert tuple(row.values) == SCHEMA_COLUMNS
+    oracle = table_rows_oracle(n)
+    for i in (300, 301, 600):  # the last row of a 300-row period and the next
+        if i <= n:
+            assert table.rows[100 * i].values == oracle[i - 1]
+
+
 def test_mutating_a_table_leaves_later_tables_canonical():
-    table = build_canonical_table(200)
+    table = build_canonical_table(700)
     table.rows[100].values["recval"] = -1
+    table.rows[100].values["k2"] = 7
+    table.rows[30100].values["c100"] = -5  # row 301 shares row 1's period slot
+    table.rows[60000].values["k50"] = 99
     table.rows[200].tombstone = True
+    table.rows[30200].tombstone = True
     table.drop(300)
-    fresh = build_canonical_table(200)
-    assert [r.values for r in fresh.scan()] == table_rows_oracle(200)
-    assert fresh.keys == [100 * i for i in range(1, 201)]
+    table.drop(60100)
+    fresh = build_canonical_table(700)
+    assert [r.values for r in fresh.scan()] == table_rows_oracle(700)
+    assert fresh.keys == [100 * i for i in range(1, 701)]
 
 
 def test_column_agreement():
@@ -120,24 +142,89 @@ def test_dump_tsv_shape():
     assert lines[1].split("\t")[0] == "100"
 
 
-_columns = st.sampled_from(["reckey", "recval", "k2", "k3", "k4", "k5", "k6", "k50", "k100", "c2", "c6"])
 _relops = st.sampled_from(["=", "<", ">", "<=", ">=", "<>"])
+_comparisons = st.builds(
+    Comparison, st.sampled_from(SCHEMA_COLUMNS), _relops, st.integers(min_value=-2, max_value=120)
+)
+
+
+def _predicates(depth=3):
+    """Comparisons, and And/Or of 0-4 items nested up to ``depth`` levels."""
+    if depth == 0:
+        return _comparisons
+    items = st.lists(_predicates(depth - 1), max_size=4).map(tuple)
+    return st.one_of(_comparisons, st.builds(And, items), st.builds(Or, items))
 
 
 @st.composite
-def _comparisons(draw):
-    return Comparison(draw(_columns), draw(_relops), draw(st.integers(min_value=-2, max_value=120)))
+def _rows(draw):
+    """A canonical row with some values edited, negatives included, and
+    perhaps tombstoned."""
+    row = initial_row(draw(st.integers(min_value=1, max_value=700)))
+    edits = draw(st.dictionaries(st.sampled_from(SCHEMA_COLUMNS), st.integers(-150, 150)))
+    row.values.update(edits)
+    row.tombstone = draw(st.booleans())
+    return row
 
 
-@st.composite
-def _predicates(draw):
-    from isoharness.notation import Or
+def _rebuilt(pred):
+    """An equal predicate made of new objects."""
+    if isinstance(pred, Comparison):
+        return Comparison(pred.column, pred.op, pred.value)
+    return type(pred)(tuple(_rebuilt(item) for item in pred.items))
 
-    kind = draw(st.sampled_from(["cmp", "and", "or"]))
-    if kind == "cmp":
-        return draw(_comparisons())
-    items = tuple(draw(st.lists(_comparisons(), min_size=2, max_size=3)))
-    return And(items) if kind == "and" else Or(items)
+
+@given(_predicates(), st.lists(_rows(), min_size=1, max_size=5))
+def test_eval_matches_oracle_on_edited_rows(pred, rows):
+    for row in rows:
+        want = not row.tombstone and eval_pred_oracle(pred, row.values)
+        assert eval_predicate(row, pred) == want
+        assert pred.holds(row.values) == eval_pred_oracle(pred, row.values)
+
+
+@given(_predicates())
+def test_evaluated_predicate_keeps_equality_and_hash(pred):
+    twin = _rebuilt(pred)
+    pred.holds(initial_row(5).values)
+    assert pred == twin and hash(pred) == hash(twin)
+    assert {pred: 1}[twin] == 1
+    twin.holds(initial_row(6).values)
+    assert pred == twin and hash(pred) == hash(twin)
+
+
+def test_engine_scan_makes_one_holds_call_per_examined_row(monkeypatch):
+    pred = parse_predicate("k2=0 and (k3=1 or (k5<2 and c100<>4))")
+    examined = 0
+    holds_calls = 0
+    nested = 0
+    depth = 0
+
+    def counting_eval(row, predicate):
+        nonlocal examined
+        examined += 1
+        return eval_predicate(row, predicate)
+
+    def counting_holds(fn):
+        def holds(self, row_values):
+            nonlocal holds_calls, nested, depth
+            holds_calls += 1
+            nested += depth > 0
+            depth += 1
+            try:
+                return fn(self, row_values)
+            finally:
+                depth -= 1
+        return holds
+
+    monkeypatch.setattr(engine_module, "eval_predicate", counting_eval)
+    for cls in (Comparison, And, Or):
+        monkeypatch.setattr(cls, "holds", counting_holds(cls.holds))
+    e = Engine(build_canonical_table(600), EngineConfig())
+    e.begin(1, IsolationLevel.RC)
+    rows, _, _ = e.predicate_read(1, "P", pred, ("reckey",), "all")
+    assert examined == 600
+    assert holds_calls == examined and nested == 0
+    assert len(rows) == sum(eval_pred_oracle(pred, r) for r in table_rows_oracle(600))
 
 
 @given(_predicates())
@@ -148,7 +235,7 @@ def test_eval_matches_oracle(pred):
         assert eval_predicate(row, pred) == eval_pred_oracle(pred, row.values)
 
 
-@given(_predicates(), _comparisons())
+@given(_predicates(), _comparisons)
 def test_match_set_monotonicity(pred, extra):
     table = build_canonical_table(100)
     base = {r.reckey for r in table.scan() if eval_predicate(r, pred)}

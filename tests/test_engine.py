@@ -756,3 +756,22 @@ def test_incremental_drain_conflict_checks_grow_linearly(monkeypatch):
         checks[rows] = calls
     assert checks[200] > 0
     assert checks[2000] <= 12 * checks[200], checks  # quadratic would be ~100
+
+
+def test_predicate_conflict_checks_grow_linearly_with_undo_log():
+    # T2's predicate lock request meets one exclusive grant per row; each
+    # check must look up that row's undo images, not scan the whole log.
+    lines = {}
+    for rows in (200, 2000):
+        e = make_engine(rows)
+        e.begin(1, IL.RC)
+        e.begin(2, IL.RC)
+        e.set_update(1, parse_predicate("recval>0"), 1)
+        reader = OpThread(_lines_run_in, Engine._images_of.__code__, lambda: e.predicate_read(
+            2, "Q", parse_predicate("k2=0"), ("reckey",), "all"))
+        assert wait_until(lambda: e.request_state(2) == "WAITING", timeout=120)
+        e.commit(1)
+        lines[rows] = reader.outcome(timeout=120)
+        e.commit(2)
+    assert lines[200] > 0
+    assert lines[2000] <= 12 * lines[200], lines  # a scan of the log would be ~100

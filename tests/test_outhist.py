@@ -156,6 +156,17 @@ def test_image_columns_checked():
         decode_image_side(_SIDE_100.replace("recval:10000", "reckey:100"))
 
 
+_ANY_INT = st.one_of(st.integers(), st.integers(min_value=2**63), st.integers(max_value=-(2**63)))
+
+
+@given(st.fixed_dictionaries({col: _ANY_INT for col in SCHEMA_COLUMNS}))
+def test_encoder_writes_each_column_in_schema_order(values):
+    row = Row(values)
+    text = encode_image_side(row)
+    assert text == ";".join(f"{col}:{row.values[col]}" for col in SCHEMA_COLUMNS)
+    assert decode_image_side(text) == row
+
+
 def _regex_decode(text):
     """Reference: the image-side language as a regular expression."""
     if text == "ABSENT":
