@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .notation import (
     HistoryProgram,
@@ -81,22 +82,22 @@ class OpView:
     def succeeded(self) -> bool:
         return self.completion is not None and self.completion.succeeded()
 
-    def write_keys(self) -> List[int]:
+    @cached_property
+    def write_keys(self) -> FrozenSet[int]:
         if self.step.kind not in WRITE_KINDS:
-            return []
+            return frozenset()
         if self.completion is not None and self.completion.images:
-            return [img.reckey for img in self.completion.images]
-        return [self.reckey] if self.reckey is not None else []
+            return frozenset(img.reckey for img in self.completion.images)
+        return frozenset() if self.reckey is None else frozenset((self.reckey,))
 
-    def write_value_dicts(self) -> List[dict]:
+    def write_value_dicts(self) -> Iterator[dict]:
+        """The values of each image side, decoded only as they are consumed."""
         if self.completion is None:
             raise MissingImages(f"op {self.submit_seq} has no completion images")
-        out = []
-        for img in self.completion.images:
-            out.extend(img.value_dicts())
-        if not out:
+        if not self.completion.images:
             raise MissingImages(f"op {self.submit_seq} carries no images")
-        return out
+        for img in self.completion.images:
+            yield from img.value_dicts()
 
 
 @dataclass
@@ -215,14 +216,14 @@ def _classify_pair(first: OpView, second: OpView, predicates: Dict[str, Predicat
     resource = None
     membership_known = True
     if _is_write(first) and _is_write(second):
-        shared = set(first.write_keys()) & set(second.write_keys())
+        shared = first.write_keys & second.write_keys
         if shared:
             cls, resource = "w_w", f"reckey={min(shared)}"
     elif _is_write(first) or _is_write(second):
         writer, reader = (first, second) if _is_write(first) else (second, first)
         name = "w_{}" if writer is first else "{}_w"
         if _is_item_read(reader):
-            if reader.reckey is not None and reader.reckey in writer.write_keys():
+            if reader.reckey is not None and reader.reckey in writer.write_keys:
                 cls, resource = name.format("r"), f"reckey={reader.reckey}"
         elif _is_pred_read(reader):
             pred = predicates.get(reader.step.pred_var)

@@ -417,10 +417,10 @@ class Engine:
     def _blockers(self, req: LockRequest, queue_prefix) -> set:
         out = set()
         for g in self._rivals(req):
-            if self._conflict(req, g):
+            if g.txn not in out and self._conflict(req, g):
                 out.add(g.txn)
         for other in queue_prefix:
-            if other.outcome is None and self._conflict(req, other):
+            if other.outcome is None and other.txn not in out and self._conflict(req, other):
                 out.add(other.txn)
         return out
 

@@ -404,7 +404,7 @@ class Monitor:
         bare = 1
         while bare < len(tokens) and "=" not in tokens[bare]:
             bare += 1
-        values, images = decode_fields(tokens[bare:], op_seq, skip=("CURSOR", "CLOSED"), lazy=True)
+        values, images = decode_fields(tokens[bare:], op_seq, skip=("CURSOR", "CLOSED"), check=False)
         if bare > 1:  # leading bare numbers: a value read, a new key or a row count
             values = [int(t) for t in tokens[1:bare]]
         return True, None, values, images

@@ -12,8 +12,10 @@ plus the isolation level of every transaction; the trailer carries per-
 transaction final statuses.  Every successful write record carries full
 before/after row images (one BEFORE/AFTER pair per written row), which is
 what lets the analyzer decide predicate membership after the fact.  The worker
-encodes each image once; the monitor keeps that text (:class:`ImageText`), which
-:func:`serialize` writes verbatim, and decodes a side only when a Row is needed.
+encodes each image once.  The monitor and :func:`parse_output` both keep that
+text (:class:`ImageText`), which :func:`serialize` writes verbatim;
+:func:`parse_output` checks every side as it reads it, and a side is decoded
+only when a Row is needed.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class OutputHistory:
 
 _SIDE_FORMAT = ";".join(f"{col}:%d" for col in SCHEMA_COLUMNS)
 _SIDE_VALUES = operator.itemgetter(*SCHEMA_COLUMNS)
+# Without re.ASCII, \d is Unicode category Nd: the digits str.isdecimal() accepts.
+_SIDE_RE = re.compile(";".join(f"{col}:(-?\\d+)" for col in SCHEMA_COLUMNS))
 
 
 def encode_image_side(row: Optional[Row]) -> str:
@@ -114,6 +118,9 @@ def decode_image_side(text: str) -> Optional[Row]:
     decimal digits; ``int()`` alone would also take ``+5``, `` 5`` or ``1_0``."""
     if text == "ABSENT":
         return None
+    m = _SIDE_RE.fullmatch(text)
+    if m is not None:
+        return Row(dict(zip(SCHEMA_COLUMNS, map(int, m.groups()))))
     values = {}
     for part in text.split(";"):
         col, _, num = part.partition(":")
@@ -123,6 +130,13 @@ def decode_image_side(text: str) -> Optional[Row]:
     if len(values) != len(_COLUMNS):
         raise ValueError("incomplete row image")
     return Row(values)
+
+
+def _side_reckey(text: str) -> int:
+    """The reckey of a side other than ABSENT, read from the text where it is in
+    schema order; raises ValueError where :func:`decode_image_side` does."""
+    m = _SIDE_RE.fullmatch(text)
+    return int(m.group(1)) if m is not None else decode_image_side(text).reckey
 
 
 def encode_image(image: WriteImage) -> str:
@@ -136,13 +150,18 @@ def encode_image(image: WriteImage) -> str:
 
 class ImageText(WriteImage):
     """A write image kept as the worker's text.  Each side is decoded on first
-    use, and :func:`serialize` writes the text back verbatim."""
+    use, and :func:`serialize` writes the text back verbatim.  With ``check``,
+    a side that :func:`decode_image_side` rejects raises ValueError at once."""
 
-    def __init__(self, op_seq: int, before: str, after: str):
+    def __init__(self, op_seq: int, before: str, after: str, check: bool):
         if before == after == "ABSENT":
             raise ValueError("image with both sides ABSENT")
         self.op_seq = op_seq
         self.texts = (before, after)
+        if check:  # the last side checked is the one the reckey comes from
+            for side in self.texts:
+                if side != "ABSENT":
+                    self.reckey = _side_reckey(side)
 
     @cached_property
     def before(self) -> Optional[Row]:
@@ -152,9 +171,10 @@ class ImageText(WriteImage):
     def after(self) -> Optional[Row]:
         return decode_image_side(self.texts[1])
 
-    @property
+    @cached_property
     def reckey(self) -> int:
-        return (self.after if self.after is not None else self.before).reckey
+        before, after = self.texts
+        return _side_reckey(before if after == "ABSENT" else after)
 
     def __eq__(self, other):
         if not isinstance(other, WriteImage):
@@ -187,11 +207,12 @@ def decode_values(text: str) -> list:
     return out
 
 
-def decode_fields(tokens, op_seq: int, skip=(), lazy=False) -> Tuple[Optional[list], List[WriteImage]]:
+def decode_fields(tokens, op_seq: int, skip=(), check=True) -> Tuple[Optional[list], List[WriteImage]]:
     """Decode ``VALUES=`` and paired ``BEFORE=``/``AFTER=`` tokens into
-    (values, images); fields named in ``skip`` are ignored.  Shared by the
-    record parser and the monitor's response parser, which passes ``lazy``
-    to keep each image as :class:`ImageText`.  Raises ValueError."""
+    (values, images); fields named in ``skip`` are ignored.  Each image is
+    kept as :class:`ImageText`.  Shared by the record parser, which checks
+    every image text, and the monitor's response parser, which trusts the
+    worker's text and passes ``check=False``.  Raises ValueError."""
     values = None
     images: List[WriteImage] = []
     pending_before: Optional[str] = None
@@ -208,10 +229,7 @@ def decode_fields(tokens, op_seq: int, skip=(), lazy=False) -> Tuple[Optional[li
         elif key == "AFTER":
             if pending_before is None:
                 raise ValueError("AFTER without BEFORE")
-            image = ImageText(op_seq, pending_before, payload)
-            if not lazy:
-                image = WriteImage(op_seq, image.reckey, image.before, image.after)
-            images.append(image)
+            images.append(ImageText(op_seq, pending_before, payload, check))
             pending_before = None
         elif key not in skip:
             raise ValueError(f"unknown field {key!r}")

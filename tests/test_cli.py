@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from isoharness.analyzer import analyze_history
 from isoharness.cli import main, run_campaign
 from isoharness.engine import EngineConfig, LockScope
 from isoharness.executor import ExecutorConfig
@@ -169,3 +170,23 @@ def test_campaign_insert_delete_set_update_grid(scope):
     )
     assert dict(report.totals) == {"EXECUTED": 21, "BLOCKED": 60}
     assert report.findings() == []
+
+
+def _pair_shapes(judgment):
+    return [(p.cls, p.resource, p.concurrent, p.second_blocked) for p in judgment.pairs]
+
+
+@pytest.mark.parametrize("scope", [LockScope.PREDICATE, LockScope.INCREMENTAL_RANGE])
+def test_campaign_judged_from_disk_matches_the_run(scope, tmp_path):
+    report = run_campaign(
+        fast_config(engine=EngineConfig(lock_scope=scope)),
+        variants=("insert", "delete", "set_update", "partial"),
+        out_dir=tmp_path,
+    )
+    assert len(report.cells) == 99
+    for cell in report.cells.values():
+        parsed = parse_output((tmp_path / f"{cell.name}.outhist").read_text())
+        assert parsed == cell.output, cell.name
+        from_disk, in_memory = analyze_history(parsed), analyze_history(cell.output)
+        assert from_disk.verdict is cell.verdict is in_memory.verdict, cell.name
+        assert _pair_shapes(from_disk) == _pair_shapes(in_memory), cell.name

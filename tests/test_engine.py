@@ -25,7 +25,7 @@ from isoharness.engine import (
 )
 from isoharness.notation import UnknownColumn, parse_predicate
 
-from conftest import OpThread, wait_until
+from conftest import OpThread, run_text, wait_until
 
 
 def make_engine(rows=200, scope=LockScope.PREDICATE, strict=False, ru_writes=False):
@@ -756,6 +756,28 @@ def test_incremental_drain_conflict_checks_grow_linearly(monkeypatch):
         checks[rows] = calls
     assert checks[200] > 0
     assert checks[2000] <= 12 * checks[200], checks  # quadratic would be ~100
+
+
+def test_parked_predicate_read_checks_one_grant_per_blocker(monkeypatch):
+    # Once T1 blocks T2's predicate lock, T1's other exclusive grants need
+    # no membership check, neither at the request nor in the deadlock check.
+    calls = 0
+    images_of = Engine._images_of
+
+    def counted(self, entry):
+        nonlocal calls
+        calls += 1
+        return images_of(self, entry)
+
+    monkeypatch.setattr(Engine, "_images_of", counted)
+    checks = {}
+    for rows in (200, 2000):
+        calls = 0
+        oh, _ = run_text("PRED(P, recval>0) PRED(Q, k2=0) IL1(RC) IL2(RC) SU1(P, 1)"
+                         " PR2(Q;reckey;all) C1 C2", rows=rows, timeout=10)
+        assert any(rec.op_text.startswith("PR2") and rec.status == "BLOCKED" for rec in oh.records)
+        checks[rows] = calls
+    assert checks[200] == checks[2000] <= 4, checks
 
 
 def test_predicate_conflict_checks_grow_linearly_with_undo_log():

@@ -231,6 +231,59 @@ def test_decoder_matches_regex_reference(text):
     assert _outcome(decode_image_side, text) == _outcome(_regex_decode, text)
 
 
+_OTHER_IMAGE = f"BEFORE=ABSENT AFTER={_SIDE_100}"  # keeps the side under test off the line's end
+
+
+def _parse_side(text, before):
+    """Parse a record line with ``text`` as one side of its first image, as
+    line 2 of a file; returns that side, decoded."""
+    fields = f"BEFORE={text} AFTER=ABSENT" if before else f"BEFORE=ABSENT AFTER={text}"
+    oh = parse_output(f"# name: t\n1 1 W1(A=100,1) OK {fields} {_OTHER_IMAGE}\n# final:\n")
+    image = oh.records[0].images[0]
+    return image.before if before else image.after
+
+
+@settings(max_examples=500)
+@given(_image_texts(), st.booleans())
+def test_parse_output_rejects_what_the_decoder_rejects(text, before):
+    expected = _outcome(decode_image_side, text)
+    if text == "ABSENT":
+        expected = ValueError  # both sides of the image ABSENT
+    try:
+        side = _parse_side(text, before)
+    except FormatError as exc:
+        assert expected is ValueError
+        assert exc.line_no == 2 or "\n" in text  # a newline ends the record early
+    else:
+        assert side == expected
+
+
+_PERMUTED_100 = ";".join(sorted(_SIDE_100.split(";"), reverse=True))
+
+
+@pytest.mark.parametrize("text", [
+    _SIDE_100.replace("recval:10000", "recval:+5"),
+    _SIDE_100.replace("recval:10000", "recval: 5"),
+    _SIDE_100.replace("recval:10000", "recval:1_0"),
+    _SIDE_100.replace("recval:10000", "reckey:100"),  # a duplicate column
+    _SIDE_100.rsplit(";", 1)[0],  # 15 columns
+])
+@pytest.mark.parametrize("before", [True, False])
+def test_parse_output_rejects_image_side(text, before):
+    with pytest.raises(FormatError):
+        _parse_side(text, before)
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_parse_output_accepts_permuted_columns(before):
+    assert not _PERMUTED_100.startswith("reckey:")
+    assert _parse_side(_PERMUTED_100, before) == _ROW_100
+    line = f"1 1 W1(A=100,1) OK BEFORE={_PERMUTED_100} AFTER=ABSENT"
+    oh = parse_output(f"{line}\n# final:\n")
+    assert oh.records[0].images[0].reckey == 100
+    assert serialize(oh).splitlines()[-2] == line  # the text is kept verbatim
+
+
 # ------------------------------------------------------------ lazy images
 
 
@@ -252,13 +305,33 @@ def test_images_decoded_only_when_a_row_is_needed(monkeypatch):
     assert calls == []  # the monitor keeps the worker's text
 
     parsed = parse_output(serialize(oh))
-    assert len(calls) == 2 * len(images)  # parse_output decodes eagerly
+    assert calls == []  # parse_output checks each side's text and decodes none
+    parsed_images = [img for rec in parsed.records for img in rec.images]
+    assert [img.reckey for img in parsed_images] == [img.reckey for img in images]
+    assert calls == []  # a reckey comes from the text
 
-    calls.clear()
-    analyze_history(oh)
-    analyze_history(oh)
-    assert len(calls) <= 2 * len(images)
-    for img in images:
+    for judged in (oh, parsed):
+        analyze_history(judged)
+        analyze_history(judged)
+    assert len(calls) <= 2 * 2  # per history, the pr_w pair stops at the first image in P
+    for img in images + parsed_images:
         img.before, img.after, img.reckey, img.value_dicts()
-    assert len(calls) == 2 * len(images)  # each side decoded once, then cached
+    assert len(calls) == 2 * (len(images) + len(parsed_images))  # each side once, then cached
     assert parsed == oh and oh == parsed
+
+
+def test_judging_a_set_update_decodes_a_handful_of_sides(monkeypatch):
+    calls = []
+    decode = outhist.decode_image_side
+    monkeypatch.setattr(outhist, "decode_image_side", lambda text: calls.append(text) or decode(text))
+    oh, _ = run_text(
+        "PRED(S, k3=1) PRED(P, k5=0) IL1(RC) IL2(RC) SU1(S, 5) PR2(P;recval;all) C1 C2",
+        rows=1000,
+    )
+    (su,) = [rec for rec in oh.records if rec.op_text.startswith("SU1")]
+    assert len(su.images) == 333
+    judgment = analyze_history(parse_output(serialize(oh)))
+    assert [p.cls for p in judgment.pairs] == ["w_pr"]
+    assert judgment.pairs[0].second_blocked
+    # the fourth image is the first whose row has k5=0
+    assert len(calls) <= 2 * 4, len(calls)
