@@ -118,9 +118,6 @@ def decode_image_side(text: str) -> Optional[Row]:
     decimal digits; ``int()`` alone would also take ``+5``, `` 5`` or ``1_0``."""
     if text == "ABSENT":
         return None
-    m = _SIDE_RE.fullmatch(text)
-    if m is not None:
-        return Row(dict(zip(SCHEMA_COLUMNS, map(int, m.groups()))))
     values = {}
     for part in text.split(";"):
         col, _, num = part.partition(":")
@@ -158,10 +155,10 @@ class ImageText(WriteImage):
             raise ValueError("image with both sides ABSENT")
         self.op_seq = op_seq
         self.texts = (before, after)
-        if check:  # the last side checked is the one the reckey comes from
-            for side in self.texts:
-                if side != "ABSENT":
-                    self.reckey = _side_reckey(side)
+        if check:  # raises ValueError where decode_image_side does
+            if before != "ABSENT":
+                _side_reckey(before)
+            self.reckey = self._read_reckey()  # checks the side it is read from
 
     @cached_property
     def before(self) -> Optional[Row]:
@@ -171,10 +168,11 @@ class ImageText(WriteImage):
     def after(self) -> Optional[Row]:
         return decode_image_side(self.texts[1])
 
-    @cached_property
-    def reckey(self) -> int:
+    def _read_reckey(self) -> int:
         before, after = self.texts
         return _side_reckey(before if after == "ABSENT" else after)
+
+    reckey = cached_property(_read_reckey)
 
     def __eq__(self, other):
         if not isinstance(other, WriteImage):

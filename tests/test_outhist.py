@@ -275,6 +275,14 @@ def test_parse_output_rejects_image_side(text, before):
 
 
 @pytest.mark.parametrize("before", [True, False])
+def test_parse_output_checks_both_sides_of_an_update(before):
+    bad = _SIDE_100.replace("recval:10000", "recval:+5")
+    sides = (bad, _SIDE_100) if before else (_SIDE_100, bad)
+    with pytest.raises(FormatError):
+        parse_output("1 1 W1(A=100,1) OK BEFORE=%s AFTER=%s\n# final:\n" % sides)
+
+
+@pytest.mark.parametrize("before", [True, False])
 def test_parse_output_accepts_permuted_columns(before):
     assert not _PERMUTED_100.startswith("reckey:")
     assert _parse_side(_PERMUTED_100, before) == _ROW_100
