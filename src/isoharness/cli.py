@@ -268,6 +268,8 @@ def cmd_analyze(args) -> int:
         judgment = analyze_history(output)
         verdict = judgment.verdict
         counts[verdict.value] += 1
+        if verdict is not Verdict.CONFORMS:
+            status = 1
         details = []
         for pair in judgment.violations:
             details.append(f"violation: {pair.describe()}")

@@ -152,7 +152,6 @@ class RangeResource:
 
 @dataclass
 class WriteImage:
-    op_seq: int
     reckey: int
     before: Optional[Row]  # None means ABSENT (insert)
     after: Optional[Row]  # None means ABSENT (delete)
@@ -193,7 +192,6 @@ class LockRequest:
 
 @dataclass
 class CursorState:
-    cursor_id: int
     position: int = 0  # last reckey returned
     frontier: float = 0.0  # highest key covered by range locks (incremental)
     exhausted: bool = False
@@ -269,7 +267,6 @@ class Engine:
         self._s_grants: Dict[tuple, LockRequest] = {}
         self._waiters: List[LockRequest] = []
         self._begin_counter = 0
-        self._op_counter = 0
         self._event_counter = 0
         self._shutdown = False
 
@@ -576,10 +573,6 @@ class Engine:
 
     # ------------------------------------------------------------- item ops
 
-    def _next_op_seq(self) -> int:
-        self._op_counter += 1
-        return self._op_counter
-
     def _check_writable(self, st: TxnState) -> None:
         if st.level == IsolationLevel.RU and not self.config.ru_writes_allowed:
             raise ReadOnlyViolation(f"transaction {st.txn} is READ UNCOMMITTED (read only)")
@@ -650,8 +643,7 @@ class Engine:
                 row.tombstone = True
             else:
                 row.values.update(after)
-            image = WriteImage(self._next_op_seq(), reckey, before,
-                               None if after is None else Row(after))
+            image = WriteImage(reckey, before, None if after is None else Row(after))
             st.log_undo(image)
             return image
 
@@ -726,7 +718,7 @@ class Engine:
                 # allocate elsewhere; visible once the lock is held.
                 row = Row(values, tombstone=True)
                 self.table.put(key, row)
-                image = WriteImage(self._next_op_seq(), key, None, Row(dict(values)))
+                image = WriteImage(key, None, Row(dict(values)))
                 st.log_undo(image)
         grant, _ = self._acquire(
             st, ItemResource(key), LockMode.X, LockDuration.LONG,
@@ -743,7 +735,7 @@ class Engine:
                 raise DuplicateKey(f"reckey {key} already present")
             row = Row(dict(values))
             self.table.put(key, row)
-            image = WriteImage(self._next_op_seq(), key, None, row.copy())
+            image = WriteImage(key, None, row.copy())
             st.log_undo(image)
             return key, image
 
@@ -760,13 +752,12 @@ class Engine:
             raise CursorLimitExceeded(
                 f"transaction {st.txn} already has {MAX_CURSORS_PER_TXN} open cursors"
             )
-        used = {c.cursor_id for c in st.cursors.values()}
-        cursor_id = min(i for i in range(1, MAX_CURSORS_PER_TXN + 1) if i not in used)
-        cursor = CursorState(cursor_id)
-        st.cursors[pred_var] = cursor
+        cursor = st.cursors[pred_var] = CursorState()
         return cursor
 
-    def _next_match(self, predicate: PredicateExpr, after: int) -> Optional[int]:
+    def _matches(self, predicate: PredicateExpr, after: int = 0):
+        """Keys of the live rows above ``after`` that satisfy the predicate,
+        ascending.  Consume under the mutex."""
         keys, rows = self.table.keys, self.table.rows
         for i in range(bisect_right(keys, after), len(keys)):
             key = keys[i]
@@ -774,8 +765,7 @@ class Engine:
             if row.tombstone:
                 continue
             if eval_predicate(row, predicate):
-                return key
-        return None
+                yield key
 
     def _scan_lock_plan(self, st: TxnState, cursor: CursorState, to_key: float):
         """Next range resource needed to cover keys up to ``to_key``, or None."""
@@ -795,10 +785,9 @@ class Engine:
                        aggregate: Optional[str] = None):
         """Open-or-continue a cursor over the predicate and fetch rows.
 
-        Returns (rows, closed, cursor_id): rows are (reckey, col...) tuples,
-        or a single (count,) tuple for count(*).  row_limit "all" drains,
-        closes, and frees the cursor; a numbered limit leaves the cursor
-        allocated even when exhausted.
+        Returns the rows: (reckey, col...) tuples, or a single (count,) tuple
+        for count(*).  row_limit "all" drains, closes, and frees the cursor; a
+        numbered limit leaves the cursor allocated even when exhausted.
         """
         drain = row_limit == "all"
         limit = None if drain else int(row_limit)
@@ -819,14 +808,14 @@ class Engine:
                 with self._mu:
                     cursor.frontier = _INF
                     if not cursor.exhausted:
-                        rows = [(sum(1 for _ in self._iter_matches(predicate)),)]
+                        rows = [(sum(1 for _ in self._matches(predicate)),)]
                         cursor.exhausted = True
             else:
                 while True:
                     with self._mu:
                         if limit is not None and len(rows) >= limit:
                             break
-                        key = self._next_match(predicate, cursor.position)
+                        key = next(self._matches(predicate, cursor.position), None)
                         if key is None:
                             cursor.exhausted = True
                             need = self._scan_lock_plan(st, cursor, _INF) if drain else None
@@ -849,17 +838,9 @@ class Engine:
                 self._stamp(st)
                 if drain:
                     st.cursors.pop(pred_var, None)
-            return rows, drain, cursor.cursor_id
+            return rows
         finally:
             self._release_grants(short, "OP_END")
-
-    def _iter_matches(self, predicate: PredicateExpr):
-        for key in self.table.keys:
-            row = self.table.rows[key]
-            if row.tombstone:
-                continue
-            if eval_predicate(row, predicate):
-                yield row
 
     def set_update(self, txn: int, predicate: PredicateExpr, delta: int = 1):
         """recval += delta on every matching row; LONG X lock per row.
@@ -875,7 +856,7 @@ class Engine:
         position = 0
         while True:
             with self._mu:
-                key = self._next_match(predicate, position)
+                key = next(self._matches(predicate, position), None)
                 if key is None:
                     self._stamp(st)
                     break
@@ -900,9 +881,10 @@ class Engine:
                 self._read_lock(st, resource, self._pred_read_duration(st.level), short)
             with self._mu:
                 self._stamp(st)
+                matches = self._matches(predicate)
                 if aggregate == "count":
-                    return sum(1 for _ in self._iter_matches(predicate))
-                return sum(row.values["recval"] for row in self._iter_matches(predicate))
+                    return sum(1 for _ in matches)
+                return sum(self.table.rows[key].values["recval"] for key in matches)
         finally:
             self._release_grants(short, "OP_END")
 

@@ -3,7 +3,9 @@
 The monitor owns variable bindings, turns steps into newline-terminated text
 frames, and sends them to one worker thread per transaction.  Workers parse
 frames, call the engine (possibly blocking inside it), and respond with
-``SUCCESS ...`` or ``FAILURE <code> ...`` frames.  The monitor never touches
+``SUCCESS ...`` or ``FAILURE <code> ...`` frames.  The tail of a ``SUCCESS``
+frame is an output record's field list (``VALUES=`` and ``BEFORE=``/``AFTER=``
+pairs), read by :func:`outhist.decode_fields`.  The monitor never touches
 table or lock state through anything but these channels.
 
 Everything the monitor waits for arrives on one inbox: each worker response
@@ -97,14 +99,6 @@ class BindingEnv:
     pred_vars: Dict[str, PredicateExpr] = field(default_factory=dict)
 
 
-@dataclass
-class DispatchRecord:
-    step_index: int
-    txn: int
-    submit_event: int
-    completion_event: Optional[int] = None  # None while pending
-
-
 # ------------------------------------------------------------ frame protocol
 
 
@@ -137,7 +131,7 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
     if op == "READ":
         _require(len(args) == 2, "READ <reckey> <column>")
         value = engine.read_item(txn, int(args[0]), args[1])
-        return f"SUCCESS {value}\n"
+        return f"SUCCESS VALUES={value}\n"
     if op == "WRITE":
         _require(len(args) == 2, "WRITE <reckey> DEFAULT|<int>")
         updates = None if args[1] == "DEFAULT" else {"recval": int(args[1])}
@@ -146,7 +140,7 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
     if op == "RW":
         _require(len(args) == 1, "RW <reckey>")
         value, image = engine.rw_item(txn, int(args[0]))
-        return f"SUCCESS {value} {encode_image(image)}\n"
+        return f"SUCCESS VALUES={value} {encode_image(image)}\n"
     if op == "INSERT":
         _require(len(args) == 3, "INSERT AUTO|<key> <colspec|-> <valspec|->")
         reckey = None if args[0] == "AUTO" else int(args[0])
@@ -157,7 +151,7 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
             _require(len(cols) == len(vals), "column/value lists differ")
             values = {c: int(v) for c, v in zip(cols, vals)}
         key, image = engine.insert_item(txn, reckey, values)
-        return f"SUCCESS {key} {encode_image(image)}\n"
+        return f"SUCCESS VALUES={key} {encode_image(image)}\n"
     if op == "DELETE":
         _require(len(args) == 1, "DELETE <reckey>")
         image = engine.delete_item(txn, int(args[0]))
@@ -169,20 +163,17 @@ def handle_frame(engine: Engine, txn: int, frame: str) -> str:
         aggregate = "count" if columns_text == "count(*)" else None
         columns = None if aggregate else tuple(columns_text.split(";"))
         limit = "all" if limit_text == "all" else int(limit_text)
-        rows, closed, cursor_id = engine.predicate_read(
-            txn, pred_var, predicate, columns, limit, aggregate
-        )
+        rows = engine.predicate_read(txn, pred_var, predicate, columns, limit, aggregate)
         flat = [t[0] if len(t) == 1 else t for t in rows]
-        closed_text = "yes" if closed else "no"
-        return f"SUCCESS VALUES={encode_values(flat)} CURSOR={cursor_id} CLOSED={closed_text}\n"
+        return f"SUCCESS VALUES={encode_values(flat)}\n"
     if op == "SU":
         _require(len(args) == 2, "SU <delta> <predicate>")
         count, images = engine.set_update(txn, parse_predicate(args[1]), int(args[0]))
-        return " ".join([f"SUCCESS {count}"] + [encode_image(img) for img in images]) + "\n"
+        return " ".join([f"SUCCESS VALUES={count}"] + [encode_image(img) for img in images]) + "\n"
     if op == "SS":
         _require(len(args) == 2 and args[0] in ("sum", "count"), "SS sum|count <predicate>")
         value = engine.set_select(txn, parse_predicate(args[1]), args[0])
-        return f"SUCCESS {value}\n"
+        return f"SUCCESS VALUES={value}\n"
     if op == "COMMIT":
         _require(not args, "COMMIT takes no arguments")
         engine.commit(txn)
@@ -245,7 +236,6 @@ class _Pending:
     step: Step
     op_text: str
     submit_seq: int
-    dispatch: DispatchRecord
     blocked_seq: Optional[int] = None  # seq of the BLOCKED record, once emitted
 
 
@@ -263,15 +253,13 @@ class Monitor:
         self.workers: Dict[int, Worker] = {}
         self.levels: Dict[int, IsolationLevel] = {}
         self.records: List[OutputRecord] = []
-        self.dispatch: List[DispatchRecord] = []
         # txn -> its outstanding request; None for an implicit BEGIN
         self.pending: Dict[int, Optional[_Pending]] = {}
         self.running: set = set()  # pending transactions not parked
-        self.deferred: Dict[int, List[Tuple[int, Step]]] = {}
+        self.deferred: Dict[int, List[Step]] = {}
         self.stuck = False
         self._submit_seq = 0
         self._record_seq = 0
-        self._event_counter = 0
 
     # ------------------------------------------------------------- plumbing
 
@@ -282,10 +270,6 @@ class Monitor:
         if meta and meta.upper() in IsolationLevel.__members__:
             return IsolationLevel[meta.upper()]
         return IsolationLevel.RC
-
-    def _tick(self) -> int:
-        self._event_counter += 1
-        return self._event_counter
 
     def _emit(self, rec: OutputRecord) -> OutputRecord:
         self._record_seq += 1
@@ -392,7 +376,7 @@ class Monitor:
     # ------------------------------------------------------------ responses
 
     @staticmethod
-    def _parse_response(response: str, op_seq: int):
+    def _parse_response(response: str):
         """Split a worker response into (ok, code, values, images)."""
         if not response.endswith("\n"):
             raise ProtocolError("response must be newline terminated")
@@ -401,12 +385,7 @@ class Monitor:
             return False, tokens[1] if len(tokens) > 1 else "Unknown", None, []
         if tokens[0] != "SUCCESS":
             raise ProtocolError(f"bad response head {tokens[0]!r}")
-        bare = 1
-        while bare < len(tokens) and "=" not in tokens[bare]:
-            bare += 1
-        values, images = decode_fields(tokens[bare:], op_seq, skip=("CURSOR", "CLOSED"), check=False)
-        if bare > 1:  # leading bare numbers: a value read, a new key or a row count
-            values = [int(t) for t in tokens[1:bare]]
+        values, images = decode_fields(tokens[1:], check=False)
         return True, None, values, images
 
     def _status_for_failure(self, code: str) -> Tuple[str, Optional[str]]:
@@ -419,7 +398,7 @@ class Monitor:
     # ------------------------------------------------------------ execution
 
     def run(self) -> OutputHistory:
-        work = list(enumerate(self.prog.steps))
+        work = list(self.prog.steps)
         while True:
             if not self._submit(work):
                 # nothing runs and nothing can be submitted
@@ -438,7 +417,7 @@ class Monitor:
         sync = self.config.mode is Mode.SYNC
         submitted = False
         while work and not (sync and submitted):
-            index, step = work[0]
+            step = work[0]
             if step.txn in self.pending:
                 if not sync:
                     break
@@ -451,16 +430,13 @@ class Monitor:
                 self.levels[step.txn] = level
                 self._send(step.txn, build_frame("BEGIN", level.name), None)
                 continue
-            work.pop(0)
-            self._dispatch(index, step)
+            self._dispatch(work.pop(0))
         return submitted
 
-    def _dispatch(self, index: int, step: Step) -> None:
+    def _dispatch(self, step: Step) -> None:
         self._submit_seq += 1
-        dispatch = DispatchRecord(index, step.txn, self._tick())
-        self.dispatch.append(dispatch)
         if step.kind in (OpKind.PRED, OpKind.MAP):
-            self._execute_declarative(step, dispatch)
+            self._execute_declarative(step)
             return
         if step.kind is OpKind.IL:
             frame, error = build_frame("BEGIN", step.level.name), None
@@ -468,12 +444,11 @@ class Monitor:
             frame, error = self.resolve_step(step)
         op_text = render_step(step, self.env.row_vars, compact=True)
         if error is not None:
-            dispatch.completion_event = self._tick()
             self._emit(
                 OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=error[0])
             )
             return
-        self._send(step.txn, frame, _Pending(step, op_text, self._submit_seq, dispatch))
+        self._send(step.txn, frame, _Pending(step, op_text, self._submit_seq))
 
     def _settle(self, work: list) -> bool:
         """Wait until no submitted request is running, then record what
@@ -495,7 +470,7 @@ class Monitor:
             pend = self.pending[txn] if what == PARK else self.pending.pop(txn)
             if pend is not None:
                 batch.append((event, what, pend))
-        resumed: List[Tuple[int, Step]] = []
+        resumed: List[Step] = []
         for _, what, pend in sorted(batch, key=lambda item: item[0]):
             if what != PARK:
                 self._complete(pend, what)
@@ -509,9 +484,8 @@ class Monitor:
         return not expired
 
     def _complete(self, pend: _Pending, response: str) -> None:
-        ok, code, values, images = self._parse_response(response, pend.submit_seq)
+        ok, code, values, images = self._parse_response(response)
         step = pend.step
-        pend.dispatch.completion_event = self._tick()
         if ok:
             if step.kind is OpKind.IL:
                 self.levels[step.txn] = step.level
@@ -539,7 +513,7 @@ class Monitor:
             return None
         return values
 
-    def _execute_declarative(self, step: Step, dispatch: DispatchRecord) -> None:
+    def _execute_declarative(self, step: Step) -> None:
         status = STATUS_OK
         code = None
         if step.kind is OpKind.PRED:
@@ -550,7 +524,6 @@ class Monitor:
                 status, code = STATUS_ERROR, "RowVarRebound"
             else:
                 self.env.row_vars[step.row_var] = step.literal
-        dispatch.completion_event = self._tick()
         self._emit(
             OutputRecord(
                 0, self._submit_seq, 0,

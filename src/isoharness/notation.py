@@ -208,13 +208,6 @@ class HistoryProgram:
             return NotImplemented
         return self.steps == other.steps and self.metadata == other.metadata
 
-    def transactions(self) -> tuple:
-        seen = []
-        for s in self.steps:
-            if s.txn and s.txn not in seen:
-                seen.append(s.txn)
-        return tuple(seen)
-
 
 # --- predicate expressions -------------------------------------------------
 
@@ -700,13 +693,7 @@ def parse_record_op(text: str):
         plain = text  # comparisons inside the predicate are not bindings
     else:
         plain = re.sub(r"([A-Za-z][A-Za-z0-9_]*)=(-?\d+)(?=[,;)])", strip_binding, text)
-    try:
-        prog = parse_history(plain)
-    except UnknownColumn:
-        raise
-    except SemanticError:
-        # IL-not-first cannot occur in a single op; re-raise anything else
-        raise
+    prog = parse_history(plain)
     if len(prog.steps) != 1:
         raise HistorySyntaxError("expected a single operation", 0, text, text)
     return prog.steps[0], bindings

@@ -11,9 +11,12 @@ submit_seq.  Header lines are prefixed ``#`` and echo the run configuration
 plus the isolation level of every transaction; the trailer carries per-
 transaction final statuses.  Every successful write record carries full
 before/after row images (one BEFORE/AFTER pair per written row), which is
-what lets the analyzer decide predicate membership after the fact.  The worker
-encodes each image once.  The monitor and :func:`parse_output` both keep that
-text (:class:`ImageText`), which :func:`serialize` writes verbatim;
+what lets the analyzer decide predicate membership after the fact.
+
+The fields after the status are also the tail of a worker's ``SUCCESS``
+response, and :func:`decode_fields` reads both.  The worker encodes each
+image once.  The monitor and :func:`parse_output` both keep that text
+(:class:`ImageText`), which :func:`serialize` writes verbatim;
 :func:`parse_output` checks every side as it reads it, and a side is decoded
 only when a Row is needed.
 """
@@ -150,10 +153,9 @@ class ImageText(WriteImage):
     use, and :func:`serialize` writes the text back verbatim.  With ``check``,
     a side that :func:`decode_image_side` rejects raises ValueError at once."""
 
-    def __init__(self, op_seq: int, before: str, after: str, check: bool):
+    def __init__(self, before: str, after: str, check: bool):
         if before == after == "ABSENT":
             raise ValueError("image with both sides ABSENT")
-        self.op_seq = op_seq
         self.texts = (before, after)
         if check:  # raises ValueError where decode_image_side does
             if before != "ABSENT":
@@ -177,8 +179,7 @@ class ImageText(WriteImage):
     def __eq__(self, other):
         if not isinstance(other, WriteImage):
             return NotImplemented
-        return (self.op_seq, self.reckey, self.before, self.after) == (
-            other.op_seq, other.reckey, other.before, other.after)
+        return (self.reckey, self.before, self.after) == (other.reckey, other.before, other.after)
 
 
 def encode_values(values: list) -> str:
@@ -205,12 +206,13 @@ def decode_values(text: str) -> list:
     return out
 
 
-def decode_fields(tokens, op_seq: int, skip=(), check=True) -> Tuple[Optional[list], List[WriteImage]]:
-    """Decode ``VALUES=`` and paired ``BEFORE=``/``AFTER=`` tokens into
-    (values, images); fields named in ``skip`` are ignored.  Each image is
-    kept as :class:`ImageText`.  Shared by the record parser, which checks
-    every image text, and the monitor's response parser, which trusts the
-    worker's text and passes ``check=False``.  Raises ValueError."""
+def decode_fields(tokens, check=True) -> Tuple[Optional[list], List[WriteImage]]:
+    """Decode the fields after a record's status, ``VALUES=`` and paired
+    ``BEFORE=``/``AFTER=`` tokens, into (values, images).  Each image is kept
+    as :class:`ImageText`.  A worker's response tail is the same field list,
+    so the record parser, which checks every image text, and the monitor's
+    response parser, which trusts the worker's text and passes
+    ``check=False``, share it.  Raises ValueError."""
     values = None
     images: List[WriteImage] = []
     pending_before: Optional[str] = None
@@ -227,9 +229,9 @@ def decode_fields(tokens, op_seq: int, skip=(), check=True) -> Tuple[Optional[li
         elif key == "AFTER":
             if pending_before is None:
                 raise ValueError("AFTER without BEFORE")
-            images.append(ImageText(op_seq, pending_before, payload, check))
+            images.append(ImageText(pending_before, payload, check))
             pending_before = None
-        elif key not in skip:
+        else:
             raise ValueError(f"unknown field {key!r}")
     if pending_before is not None:
         raise ValueError("BEFORE without matching AFTER")
@@ -306,7 +308,7 @@ def _parse_record_line(line: str, line_no: int) -> OutputRecord:
     else:
         raise FormatError(f"unknown status {status_token!r}", line_no, line)
     try:
-        rec.values, rec.images = decode_fields(parts[4:], submit_seq)
+        rec.values, rec.images = decode_fields(parts[4:])
     except ValueError as exc:
         raise FormatError(str(exc), line_no, line)
     return rec

@@ -141,6 +141,18 @@ def test_campaign_strict_reports_findings_but_exits_zero(tmp_path, capsys):
     assert parse_output(written[0].read_text()).header.strictness == "STRICT_ALL_LONG"
 
 
+def test_analyze_exits_nonzero_on_findings(tmp_path, capsys):
+    # judged from disk, any verdict but CONFORMS fails the command
+    strict, per_level = tmp_path / "strict", tmp_path / "per_level"
+    for out, strictness in ((strict, "strict"), (per_level, "per-level")):
+        main(["campaign", "--classes", "r_w", "--levels", "RC",
+              "--strictness", strictness, "--timeout", "0.25", "--out", str(out)])
+    conforming = [str(p) for p in per_level.glob("*.outhist")]
+    assert main(["analyze", *conforming]) == 0
+    assert main(["analyze", *conforming, *map(str, strict.glob("*.outhist"))]) == 1
+    assert "totals: CONFORMS=1 OVER_RESTRICTIVE=1" in capsys.readouterr().out
+
+
 def test_campaign_parallel_matches_serial():
     base = fast_config()
     serial = run_campaign(base, classes=("w_w", "r_w"), levels=(IL.RC, IL.RR))

@@ -178,8 +178,8 @@ def test_write_into_held_predicate_blocks():
     e = make_engine()
     e.begin(1, IL.SR)
     e.begin(2, IL.RC)
-    rows, closed, _ = e.predicate_read(1, "P", PRED_K, ("recval",), "all")
-    assert closed and rows[0] == (200, 20000)
+    rows = e.predicate_read(1, "P", PRED_K, ("recval",), "all")
+    assert rows[0] == (200, 20000)
     writer = OpThread(e.write_item, 2, 200, {"k2": 0})
     assert wait_until(lambda: e.request_state(2) == "WAITING")
     assert writer.still_blocked()
@@ -343,45 +343,44 @@ def test_delete_commit_removes_row():
 def test_pr_first_match():
     e = make_engine()
     e.begin(1, IL.RC)
-    rows, closed, _ = e.predicate_read(1, "P", PRED_K, ("recval",), 1)
+    rows = e.predicate_read(1, "P", PRED_K, ("recval",), 1)
     assert rows == [(200, 20000)]
-    assert not closed
+    assert "P" in e.txns[1].cursors
 
 
 def test_pr_count_below_first_key():
     e = make_engine()
     e.begin(1, IL.RC)
-    rows, _, _ = e.predicate_read(1, "P", parse_predicate("reckey<100"), None, 1, aggregate="count")
+    rows = e.predicate_read(1, "P", parse_predicate("reckey<100"), None, 1, aggregate="count")
     assert rows == [(0,)]
 
 
 def test_pr_cursor_positions_across_calls():
     e = make_engine()
     e.begin(1, IL.RC)
-    first, _, _ = e.predicate_read(1, "P", PRED_K, ("recval",), 2)
-    second, closed, _ = e.predicate_read(1, "P", PRED_K, ("recval",), 1)
+    first = e.predicate_read(1, "P", PRED_K, ("recval",), 2)
+    second = e.predicate_read(1, "P", PRED_K, ("recval",), 1)
     assert [r[0] for r in first] == [200, 400]
     assert [r[0] for r in second] == [800]  # 600 has k3=2, filtered out
-    assert not closed
+    assert e.txns[1].cursors["P"].position == 800
 
 
 def test_pr_all_closes_and_frees():
     e = make_engine()
     e.begin(1, IL.RC)
-    _, closed, first_id = e.predicate_read(1, "P", PRED_K, ("reckey",), "all")
-    assert closed
-    _, _, second_id = e.predicate_read(1, "Q", parse_predicate("k2=0"), ("reckey",), "all")
-    assert second_id == first_id  # id was recycled
+    for i in range(9):  # one more drain than the cursor limit: each frees its cursor
+        e.predicate_read(1, f"P{i}", PRED_K, ("reckey",), "all")
+    assert e.txns[1].cursors == {}
 
 
 def test_pr_numbered_cursor_never_freed_even_exhausted():
     e = make_engine(rows=100)
     e.begin(1, IL.RC)
     pred = parse_predicate("reckey<=200")
-    rows, closed, _ = e.predicate_read(1, "P", pred, ("reckey",), 50)
-    assert len(rows) == 2 and not closed
-    rows, closed, _ = e.predicate_read(1, "P", pred, ("reckey",), 5)
-    assert rows == [] and not closed
+    rows = e.predicate_read(1, "P", pred, ("reckey",), 50)
+    assert len(rows) == 2
+    rows = e.predicate_read(1, "P", pred, ("reckey",), 5)
+    assert rows == []
     assert e.txns[1].cursors["P"].exhausted
 
 
@@ -394,8 +393,8 @@ def test_incremental_count_waits_for_insert_then_locks_whole_range():
                        aggregate="count")
     assert wait_until(lambda: e.request_state(1) == "WAITING")
     e.rollback(2)
-    rows, closed, _ = counter.outcome()
-    assert rows == [(100,)] and not closed
+    rows = counter.outcome()
+    assert rows == [(100,)] and e.txns[1].cursors["P"].exhausted
     whole = RangeResource(0.0, float("inf"))
     assert [(g.resource, g.mode, g.duration) for g in e.held_locks(1)] == [(whole, S, LONG)]
     assert lock_trace(e) == [
@@ -422,15 +421,15 @@ def test_incremental_scan_blocks_only_inside_frontier():
     e.begin(1, IL.SR)
     e.begin(2, IL.RC)
     pred = parse_predicate("k2=0 and k3=0")
-    rows, _, _ = e.predicate_read(1, "P", pred, ("recval",), 1)
+    rows = e.predicate_read(1, "P", pred, ("recval",), 1)
     assert rows == [(100, 10000)]
     e.write_item(2, 700, {"recval": 777})  # beyond the scan frontier: no block
     drain = OpThread(e.predicate_read, 1, "P", pred, ("recval",), "all")
     assert wait_until(lambda: e.request_state(1) == "WAITING")
     assert drain.still_blocked()
     e.commit(2)
-    rows, closed, _ = drain.outcome()
-    assert closed and rows[0] == (700, 777)
+    rows = drain.outcome()
+    assert rows[0] == (700, 777) and "P" not in e.txns[1].cursors
 
 
 def test_incremental_write_inside_frontier_blocks():
@@ -731,7 +730,7 @@ def test_drain_visits_grow_linearly_with_table(scope):
     for rows in (200, 2000):
         e = make_engine(rows, scope)
         e.begin(1, IL.RC)
-        steps[rows] = _lines_run_in(Engine._next_match.__code__, lambda: _drain(e))
+        steps[rows] = _lines_run_in(Engine._matches.__code__, lambda: _drain(e))
     assert steps[200] > 0
     assert steps[2000] <= 12 * steps[200], steps  # quadratic would be ~100
 

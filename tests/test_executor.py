@@ -27,6 +27,7 @@ from isoharness.outhist import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_RESUMED,
+    decode_fields,
     serialize,
 )
 
@@ -169,7 +170,7 @@ def _engine():
 
 
 def test_read_frame_response():
-    assert handle_frame(_engine(), 1, "READ 100 recval\n") == "SUCCESS 10000\n"
+    assert handle_frame(_engine(), 1, "READ 100 recval\n") == "SUCCESS VALUES=10000\n"
 
 
 def test_missing_row_failure_frame():
@@ -196,48 +197,66 @@ def test_unknown_frame_rejected():
 def test_pr_frame_roundtrip():
     e = _engine()
     resp = handle_frame(e, 1, "PR P recval 1 (k2=1)and(k3<2)\n")
-    assert resp == "SUCCESS VALUES=200:20000 CURSOR=1 CLOSED=no\n"
+    assert resp == "SUCCESS VALUES=200:20000\n"
     resp = handle_frame(e, 1, "PR P reckey all (k2=1)and(k3<2)\n")
-    assert resp.startswith("SUCCESS VALUES=400,800")  # continues past position 200
-    assert resp.endswith("CLOSED=yes\n")
+    assert resp.startswith("SUCCESS VALUES=400,800,")  # continues past position 200
+    assert "P" not in e.txns[1].cursors  # the drain closed the cursor
 
 
 def test_su_and_ss_frames():
     e = _engine()
     resp = handle_frame(e, 1, "SU 5 (reckey=100)\n")
-    assert resp.startswith("SUCCESS 1 BEFORE=")
-    assert handle_frame(e, 1, "SS sum (reckey<=200)\n") == "SUCCESS 30005\n"
+    assert resp.startswith("SUCCESS VALUES=1 BEFORE=")
+    assert handle_frame(e, 1, "SS sum (reckey<=200)\n") == "SUCCESS VALUES=30005\n"
+
+
+@pytest.mark.parametrize("frame", [
+    "READ 100 recval", "WRITE 200 7", "RW 300", "INSERT AUTO recval;k2 5;1", "DELETE 400",
+    "PR P recval;k2 all (k3=0)", "PR Q count(*) 1 (k2=1)", "SU 5 (k2=0)", "SS count (k2=0)",
+])
+def test_response_tail_is_a_record_field_list(frame):
+    # the monitor and the output-history parser read one field grammar
+    response = handle_frame(_engine(), 1, frame + "\n")
+    head, *tail = response.split()
+    assert head == "SUCCESS" and tail
+    values, images = decode_fields(tail, check=True)
+    assert values is not None or images
 
 
 # ------------------------------------------------------------ async mode
 
 
-def test_async_disjoint_transactions_overlap():
-    text = "IL1(RC) IL2(RC) W1(A, 1) W2(B, 2) C1 C2"
-    prog = parse_history(text)
-    mon = Monitor(prog, fast_config(mode=Mode.ASYNC))
-    oh = mon.run()
+def _async_sends(monkeypatch, text):
+    """Run ``text`` in ASYNC mode; returns the output history and, for each
+    request frame sent, its transaction, its first word and the transactions
+    that had a request out just before it."""
+    sends = []
+    send = Monitor._send
+
+    def spy(self, txn, frame, pend):
+        sends.append((txn, frame.split()[0], set(self.pending)))
+        send(self, txn, frame, pend)
+
+    monkeypatch.setattr(Monitor, "_send", spy)
+    oh = Monitor(parse_history(text), fast_config(mode=Mode.ASYNC)).run()
+    return oh, sends
+
+
+def test_async_disjoint_transactions_overlap(monkeypatch):
+    oh, sends = _async_sends(monkeypatch, "IL1(RC) IL2(RC) W1(A, 1) W2(B, 2) C1 C2")
     assert not oh.header.stuck
     assert oh.finals == {1: "COMMITTED", 2: "COMMITTED"}
-    by_step = {d.step_index: d for d in mon.dispatch}
-    w1, w2 = by_step[2], by_step[3]
-    # both writes were in flight at once: the second was submitted before the
-    # first's completion was observed
-    assert w1.submit_event < w2.submit_event < w1.completion_event
+    # both writes were in flight at once: W2 went out while W1 was still out
+    writes = [(txn, out) for txn, op, out in sends if op == "WRITE"]
+    assert writes == [(1, set()), (2, {1})]
 
 
-def test_async_one_outstanding_per_txn():
-    text = "IL1(RC) W1(A, 1) W1(A, 2) W1(A, 3) C1"
-    prog = parse_history(text)
-    mon = Monitor(prog, fast_config(mode=Mode.ASYNC))
-    mon.run()
-    spans = [
-        (d.submit_event, d.completion_event)
-        for d in mon.dispatch
-        if d.txn == 1
-    ]
-    for (s1, c1), (s2, c2) in zip(spans, spans[1:]):
-        assert c1 is not None and c1 < s2  # no overlap within a transaction
+def test_async_one_outstanding_per_txn(monkeypatch):
+    oh, sends = _async_sends(monkeypatch, "IL1(RC) W1(A, 1) W1(A, 2) W1(A, 3) C1")
+    assert oh.finals == {1: "COMMITTED"}
+    assert [op for _, op, _ in sends] == ["BEGIN", "WRITE", "WRITE", "WRITE", "COMMIT"]
+    for txn, _, out in sends:
+        assert txn not in out  # no overlap within a transaction
 
 
 def test_async_conflict_free_matches_sync_final_state():
@@ -285,12 +304,6 @@ def test_multi_lock_op_reblocks_on_second_holder():
     assert mon.engine.table.rows[100].values["recval"] == 10007
     assert mon.engine.table.rows[300].values["recval"] == 30007
     assert oh.finals == {1: "COMMITTED", 2: "COMMITTED", 3: "COMMITTED"}
-
-
-def test_dispatch_records_completion_after_submit():
-    _, mon = run_text("IL1(RC) W1(A, 1) C1")
-    for d in mon.dispatch:
-        assert d.completion_event is None or d.completion_event > d.submit_event
 
 
 def test_run_history_wrapper():

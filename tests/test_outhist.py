@@ -22,13 +22,13 @@ from isoharness.outhist import (
 from conftest import run_text
 
 
-def _image(reckey=100, before_val=10000, after_val=1001, op_seq=3):
+def _image(reckey=100, before_val=10000, after_val=1001):
     table = build_canonical_table(200)
     before = table.rows[reckey].copy()
     before.values["recval"] = before_val
     after = table.rows[reckey].copy()
     after.values["recval"] = after_val
-    return WriteImage(op_seq, reckey, before, after)
+    return WriteImage(reckey, before, after)
 
 
 def test_ok_read_line_format():
@@ -54,7 +54,7 @@ def test_empty_history_is_header_and_trailer_only():
 
 
 def test_write_record_with_images_roundtrip():
-    rec = OutputRecord(5, 5, 1, "W1(A=100,1001)", "OK", images=[_image(op_seq=5)])
+    rec = OutputRecord(5, 5, 1, "W1(A=100,1001)", "OK", images=[_image()])
     oh = OutputHistory(
         header=RunHeader(name="demo", levels={1: "RC"}, meta={"class": "w_w"}),
         records=[rec],
@@ -69,11 +69,11 @@ def test_insert_and_delete_images_roundtrip():
     new_values["reckey"] = 150
     ins = OutputRecord(
         1, 1, 1, "I1(B=150)", "OK",
-        images=[WriteImage(1, 150, None, Row(new_values))],
+        images=[WriteImage(150, None, Row(new_values))],
     )
     dele = OutputRecord(
         2, 2, 1, "D1(A=100)", "OK",
-        images=[WriteImage(2, 100, table.rows[100].copy(), None)],
+        images=[WriteImage(100, table.rows[100].copy(), None)],
     )
     oh = OutputHistory(records=[ins, dele])
     assert parse_output(serialize(oh)) == oh
@@ -82,14 +82,14 @@ def test_insert_and_delete_images_roundtrip():
 def test_multi_image_record_roundtrip():
     rec = OutputRecord(
         7, 7, 1, "SU1(P,5)", "OK", values=[2],
-        images=[_image(100, op_seq=7), _image(300, 30000, 30005, op_seq=7)],
+        images=[_image(100), _image(300, 30000, 30005)],
     )
     oh = OutputHistory(records=[rec])
     assert parse_output(serialize(oh)) == oh
 
 
 def test_resumed_status_roundtrip():
-    rec = OutputRecord(6, 4, 2, "W2(A=100,2002)", "RESUMED", resumed_of=4, images=[_image(op_seq=4)])
+    rec = OutputRecord(6, 4, 2, "W2(A=100,2002)", "RESUMED", resumed_of=4, images=[_image()])
     oh = OutputHistory(records=[rec])
     parsed = parse_output(serialize(oh))
     assert parsed.records[0].status == "RESUMED"
