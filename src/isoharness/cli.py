@@ -40,6 +40,13 @@ def _default_timeout() -> float:
     return float(os.environ.get("HISTEX_TIMEOUT", "2"))
 
 
+_LOCK_SCOPES = {
+    "predicate": LockScope.PREDICATE,
+    "incremental": LockScope.INCREMENTAL_RANGE,
+    "table": LockScope.TABLE,
+}
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("sync", "async"), default="sync")
     parser.add_argument(
@@ -51,18 +58,17 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                              " (default 2 or HISTEX_TIMEOUT)")
     parser.add_argument("--default-level", choices=("RU", "RC", "RR", "SR"), default=None)
     parser.add_argument("--rows", type=int, default=200, help="table size, multiple of 100")
-    parser.add_argument("--lock-scope", choices=("predicate", "incremental"), default="predicate")
+    parser.add_argument("--lock-scope", choices=tuple(_LOCK_SCOPES), default="predicate",
+                        help="table: incremental range locking without a key index")
     parser.add_argument("--strictness", choices=("per-level", "strict"), default="per-level")
     parser.add_argument("--ru-writes-allowed", action="store_true",
                         help="let RU transactions write (reproduces permissive systems)")
-    parser.add_argument("--no-indexes", action="store_true",
-                        help="drop index flags (full-range locking in incremental mode)")
     parser.add_argument("--verbose", action="store_true")
 
 
 def _exec_config(args) -> ExecutorConfig:
     engine = EngineConfig(
-        lock_scope=LockScope.PREDICATE if args.lock_scope == "predicate" else LockScope.INCREMENTAL_RANGE,
+        lock_scope=_LOCK_SCOPES[args.lock_scope],
         strictness=Strictness.PER_LEVEL if args.strictness == "per-level" else Strictness.STRICT_ALL_LONG,
         ru_writes_allowed=args.ru_writes_allowed,
     )
@@ -74,7 +80,6 @@ def _exec_config(args) -> ExecutorConfig:
         default_level=level,
         rows=args.rows,
         engine=engine,
-        indexes=not args.no_indexes,
         verbose=args.verbose,
     )
 

@@ -2,9 +2,9 @@
 
 The table ``T(reckey, recval, c2..c100, k2..k100)`` holds a multiple of 100
 rows.  Row i (1-based) carries reckey 100*i, recval 10000*i, and
-kN = cN = (i-1) mod N.  The kN columns are flagged as indexed, the cN columns
-are not; index flags only influence the engine's incremental range locking.
-The only physical index is the sorted list of reckeys.
+kN = cN = (i-1) mod N; the kN and cN columns differ only in name.  The only
+index is the sorted list of reckeys, which incremental range locking follows
+(``LockScope.TABLE`` locks as if there were none).
 
 The kN/cN values repeat every 300 rows, so each row is a copy of one of 300
 template rows, keyed in ``SCHEMA_COLUMNS`` order, with its reckey and recval set.
@@ -29,11 +29,6 @@ class InvalidRowCount(ValueError):
 
 
 DEFAULT_ROW_COUNT = 200
-
-#: Columns that carry an index flag by default (primary key plus kN).
-DEFAULT_INDEXED_COLUMNS = frozenset(
-    ("reckey",) + tuple(f"k{n}" for n in SCHEMA_COLUMN_SUFFIXES)
-)
 
 
 @dataclass
@@ -63,7 +58,6 @@ def initial_row(i: int) -> Row:
 @dataclass
 class CanonicalTable:
     rows: Dict[int, Row] = field(default_factory=dict)
-    indexed_columns: set = field(default_factory=lambda: set(DEFAULT_INDEXED_COLUMNS))
     row_count: int = 0
     #: Every key of ``rows``, tombstones included, in ascending order.  Keys
     #: are added and removed only through :meth:`put` and :meth:`drop`.

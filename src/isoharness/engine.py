@@ -6,7 +6,7 @@ Locking policy, which is the whole point of this module:
     exclusive locks at every level above RU.
   * Item reads take SHORT shared locks at RC and LONG at RR/SR.
   * Predicate reads take a shared lock on the predicate (or on key ranges in
-    incremental mode) that is SHORT at RC/RR and LONG at SR.
+    incremental and table scope) that is SHORT at RC/RR and LONG at SR.
   * RU transactions take no locks at all and are read only; write attempts
     fail unless ``ru_writes_allowed`` is set (that flag exists to reproduce
     permissive behavior observed in real systems).
@@ -16,8 +16,9 @@ locks are released when the acquiring operation returns.  A shared predicate
 or range lock conflicts with an exclusive item lock when the written row's
 before- or after-image satisfies the predicate / falls in the range.  Lock
 grants are FIFO per resource; a request never overtakes an earlier
-conflicting waiter.  Incremental range locks follow the key order only while
-the table flags ``reckey`` as indexed; no other index flag is read.
+conflicting waiter.  Incremental range locks follow the key order; table
+scope (``LockScope.TABLE``) is incremental scope without a usable key index,
+whose first fetch locks the whole key range.
 
 A lock request and its grant are one record (:class:`LockRequest`): once
 granted, the request itself is held in the lock table.  Every write to an
@@ -53,7 +54,7 @@ from .notation import IsolationLevel, PredicateExpr, SCHEMA_COLUMNS, UnknownColu
 
 
 class EngineError(Exception):
-    """Base engine failure; ``code`` is the stable wire/status name."""
+    """Base engine failure; ``code`` is the stable status name."""
 
     code = "EngineError"
 
@@ -115,6 +116,7 @@ class LockDuration(Enum):
 class LockScope(Enum):
     PREDICATE = "PREDICATE"
     INCREMENTAL_RANGE = "INCREMENTAL_RANGE"
+    TABLE = "TABLE"  # incremental with no usable key index: one range over everything
 
 
 class Strictness(Enum):
@@ -769,11 +771,9 @@ class Engine:
 
     def _scan_lock_plan(self, st: TxnState, cursor: CursorState, to_key: float):
         """Next range resource needed to cover keys up to ``to_key``, or None."""
-        if st.level == IsolationLevel.RU:
+        if st.level == IsolationLevel.RU or self.config.lock_scope is LockScope.PREDICATE:
             return None
-        if self.config.lock_scope is not LockScope.INCREMENTAL_RANGE:
-            return None
-        if "reckey" not in self.table.indexed_columns:
+        if self.config.lock_scope is LockScope.TABLE:
             # no usable index: the first fetch scans (and locks) everything
             to_key = _INF
         if cursor.frontier >= to_key:

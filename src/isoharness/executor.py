@@ -1,18 +1,20 @@
 """Monitor and per-transaction workers.
 
-The monitor owns variable bindings, turns steps into newline-terminated text
-frames, and sends them to one worker thread per transaction.  Workers parse
-frames, call the engine (possibly blocking inside it), and respond with
-``SUCCESS ...`` or ``FAILURE <code> ...`` frames.  The tail of a ``SUCCESS``
-frame is an output record's field list (``VALUES=`` and ``BEFORE=``/``AFTER=``
-pairs), read by :func:`outhist.decode_fields`.  The monitor never touches
-table or lock state through anything but these channels.
+The monitor owns variable bindings and turns each step into a request: a
+function of ``(engine, txn)`` that makes the step's engine call and returns
+the record's ``(values, images)``.  It sends each request to one worker
+thread per transaction, which runs it (possibly blocking inside the engine)
+through :func:`handle_frame` and posts the outcome back: the
+``(values, images)`` pair, or the code of the engine error the request
+raised.  Records keep the engine's own :class:`engine.WriteImage` objects,
+which :func:`outhist.serialize` encodes.  The monitor never touches table or
+lock state but through the engine calls its requests make.
 
-Everything the monitor waits for arrives on one inbox: each worker response
+Everything the monitor waits for arrives on one inbox: each worker outcome
 with the engine event number of the request's last effect, and the engine's
 PARK and WAKE posts for lock requests.  One loop serves both modes.  It
 submits steps, waits until no submitted request is running (each has
-responded or is parked in the lock table), then records what completed or
+completed or is parked in the lock table), then records what completed or
 parked in engine event order.  So BLOCKED means "parked in the lock table",
 and the output history is the engine's own order.
 
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 import queue
 import threading
+import traceback
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from . import outhist
 from .dataset import build_canonical_table
@@ -42,6 +45,7 @@ from .engine import (
     EngineError,
     ReadOnlyViolation,
     TxnStatus,
+    WriteImage,
 )
 from .notation import (
     HistoryProgram,
@@ -49,8 +53,6 @@ from .notation import (
     OpKind,
     PredicateExpr,
     Step,
-    parse_predicate,
-    render_predicate,
     render_step,
 )
 from .outhist import (
@@ -63,14 +65,7 @@ from .outhist import (
     STATUS_OK,
     STATUS_READONLY,
     STATUS_RESUMED,
-    decode_fields,
-    encode_image,
-    encode_values,
 )
-
-
-class ProtocolError(Exception):
-    """Malformed monitor/worker frame."""
 
 
 class Mode(Enum):
@@ -88,7 +83,6 @@ class ExecutorConfig:
     default_level: Optional[IsolationLevel] = None
     rows: int = 200
     engine: EngineConfig = field(default_factory=EngineConfig)
-    indexes: bool = True
     verbose: bool = False
 
 
@@ -99,133 +93,76 @@ class BindingEnv:
     pred_vars: Dict[str, PredicateExpr] = field(default_factory=dict)
 
 
-# ------------------------------------------------------------ frame protocol
+# ------------------------------------------------------------------ requests
+
+if TYPE_CHECKING:
+    # Only for type checkers: typing caches subscripted generics, so at run
+    # time the alias would keep the Engine class of every import alive.
+    #: A step's engine call: ``request(engine, txn)`` returns the record's
+    #: (values, images).
+    Request = Callable[[Engine, int], Tuple[Optional[list], List[WriteImage]]]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ProtocolError(message)
+def _begin(level: IsolationLevel) -> Request:
+    def request(engine: Engine, txn: int):
+        engine.begin(txn, level)
+        return None, []
+    return request
 
 
-def build_frame(*tokens) -> str:
-    return " ".join(str(t) for t in tokens) + "\n"
+def _commit(engine: Engine, txn: int):
+    engine.commit(txn)
+    return None, []
 
 
-def handle_frame(engine: Engine, txn: int, frame: str) -> str:
-    """Execute one monitor request frame against the engine.
+def _rollback(engine: Engine, txn: int):
+    engine.rollback(txn)
+    return None, []
 
-    This is the worker body: it may block inside the engine.  Returns the
-    response frame; raises :class:`ProtocolError` for malformed requests and
-    lets engine errors propagate to the caller.
-    """
-    _require(frame.endswith("\n"), "frame must be newline terminated")
-    tokens = frame[:-1].split(" ")
-    _require(bool(tokens) and bool(tokens[0]), "empty frame")
-    op = tokens[0]
-    args = tokens[1:]
 
-    if op == "BEGIN":
-        _require(len(args) == 1 and args[0] in IsolationLevel.__members__, "BEGIN <level>")
-        engine.begin(txn, IsolationLevel[args[0]])
-        return "SUCCESS\n"
-    if op == "READ":
-        _require(len(args) == 2, "READ <reckey> <column>")
-        value = engine.read_item(txn, int(args[0]), args[1])
-        return f"SUCCESS VALUES={value}\n"
-    if op == "WRITE":
-        _require(len(args) == 2, "WRITE <reckey> DEFAULT|<int>")
-        updates = None if args[1] == "DEFAULT" else {"recval": int(args[1])}
-        image = engine.write_item(txn, int(args[0]), updates)
-        return f"SUCCESS {encode_image(image)}\n"
-    if op == "RW":
-        _require(len(args) == 1, "RW <reckey>")
-        value, image = engine.rw_item(txn, int(args[0]))
-        return f"SUCCESS VALUES={value} {encode_image(image)}\n"
-    if op == "INSERT":
-        _require(len(args) == 3, "INSERT AUTO|<key> <colspec|-> <valspec|->")
-        reckey = None if args[0] == "AUTO" else int(args[0])
-        values = {}
-        if args[1] != "-":
-            cols = args[1].split(";")
-            vals = args[2].split(";")
-            _require(len(cols) == len(vals), "column/value lists differ")
-            values = {c: int(v) for c, v in zip(cols, vals)}
-        key, image = engine.insert_item(txn, reckey, values)
-        return f"SUCCESS VALUES={key} {encode_image(image)}\n"
-    if op == "DELETE":
-        _require(len(args) == 1, "DELETE <reckey>")
-        image = engine.delete_item(txn, int(args[0]))
-        return f"SUCCESS {encode_image(image)}\n"
-    if op == "PR":
-        _require(len(args) == 4, "PR <pred_var> <columns> <limit|all> <predicate>")
-        pred_var, columns_text, limit_text, pred_text = args
-        predicate = parse_predicate(pred_text)
-        aggregate = "count" if columns_text == "count(*)" else None
-        columns = None if aggregate else tuple(columns_text.split(";"))
-        limit = "all" if limit_text == "all" else int(limit_text)
-        rows = engine.predicate_read(txn, pred_var, predicate, columns, limit, aggregate)
-        flat = [t[0] if len(t) == 1 else t for t in rows]
-        return f"SUCCESS VALUES={encode_values(flat)}\n"
-    if op == "SU":
-        _require(len(args) == 2, "SU <delta> <predicate>")
-        count, images = engine.set_update(txn, parse_predicate(args[1]), int(args[0]))
-        return " ".join([f"SUCCESS VALUES={count}"] + [encode_image(img) for img in images]) + "\n"
-    if op == "SS":
-        _require(len(args) == 2 and args[0] in ("sum", "count"), "SS sum|count <predicate>")
-        value = engine.set_select(txn, parse_predicate(args[1]), args[0])
-        return f"SUCCESS VALUES={value}\n"
-    if op == "COMMIT":
-        _require(not args, "COMMIT takes no arguments")
-        engine.commit(txn)
-        return "SUCCESS\n"
-    if op == "ROLLBACK":
-        _require(not args, "ROLLBACK takes no arguments")
-        engine.rollback(txn)
-        return "SUCCESS\n"
-    if op == "FINALIZE":
-        _require(not args, "FINALIZE takes no arguments")
-        return "SUCCESS\n"
-    raise ProtocolError(f"unknown request {op!r}")
+def _value_and_image(value, image: WriteImage):
+    return [value], [image]
+
+
+def handle_frame(engine: Engine, txn: int, request: Request):
+    """Run one request against the engine: the worker body, which may block
+    inside the engine.  Engine errors propagate to the caller."""
+    return request(engine, txn)
 
 
 class Worker:
-    """One long-lived thread per transaction, driven by framed messages.
+    """One long-lived thread per transaction, running the monitor's requests.
 
-    Each response is posted to ``responses``, shared by all workers of a
-    run, as ``(event, txn, response)``: ``event`` is the engine event number
-    of the request's last effect.
+    Each outcome is posted to ``responses``, shared by all workers of a run,
+    as ``(event, txn, outcome)``: ``event`` is the engine event number of the
+    request's last effect, and ``outcome`` the request's (values, images) or
+    the code of the error it raised.  A None request ends the thread.
     """
 
     def __init__(self, txn: int, engine: Engine, responses: "queue.SimpleQueue[tuple]"):
         self.txn = txn
         self.engine = engine
-        self.requests: "queue.SimpleQueue[str]" = queue.SimpleQueue()
+        self.requests: "queue.SimpleQueue[Optional[Request]]" = queue.SimpleQueue()
         self.responses = responses
         self.thread = threading.Thread(target=self._run, daemon=True, name=f"txn-worker-{txn}")
         self.thread.start()
 
-    def send(self, frame: str) -> None:
-        self.requests.put(frame)
+    def send(self, request: Optional[Request]) -> None:
+        self.requests.put(request)
 
     def _run(self) -> None:
-        while True:
-            frame = self.requests.get()
+        while (request := self.requests.get()) is not None:
             try:
-                response = handle_frame(self.engine, self.txn, frame)
-            except ProtocolError as exc:
-                response = f"FAILURE ProtocolError {exc}\n"
+                outcome = handle_frame(self.engine, self.txn, request)
             except EngineError as exc:
-                detail = str(exc).replace("\n", " ")
-                response = f"FAILURE {exc.code} {detail}\n"
-            except Exception as exc:  # keep the channel alive no matter what
-                detail = str(exc).replace("\n", " ")
-                response = f"FAILURE InternalError {type(exc).__name__}: {detail}\n"
+                outcome = exc.code
+            except Exception:  # keep the channel alive no matter what
+                traceback.print_exc()
+                outcome = "InternalError"
             # Other threads stamp this transaction only while it has a parked
             # request, so once the request returns the number read is final.
             state = self.engine.txns.get(self.txn)
-            self.responses.put((state.last_event if state else 0, self.txn, response))
-            if frame.strip() == "FINALIZE":
-                return
+            self.responses.put((state.last_event if state else 0, self.txn, outcome))
 
 
 # ----------------------------------------------------------------- monitor
@@ -244,8 +181,6 @@ class Monitor:
         self.prog = prog
         self.config = config or ExecutorConfig()
         self.table = build_canonical_table(self.config.rows)
-        if not self.config.indexes:
-            self.table.indexed_columns = set()
         # The engine's callback holds only the inbox, not the monitor.
         self.inbox: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
         self.engine = Engine(self.table, self.config.engine, notify=self.inbox.put)
@@ -279,11 +214,11 @@ class Monitor:
             print(outhist._record_line(rec))
         return rec
 
-    def _send(self, txn: int, frame: str, pend: Optional[_Pending]) -> None:
+    def _send(self, txn: int, request: Request, pend: Optional[_Pending]) -> None:
         worker = self.workers.get(txn)
         if worker is None:
             worker = self.workers[txn] = Worker(txn, self.engine, self.inbox)
-        worker.send(frame)
+        worker.send(request)
         self.pending[txn] = pend
         self.running.add(txn)
 
@@ -304,58 +239,65 @@ class Monitor:
         return self._auto_bind_row(name)
 
     def resolve_step(self, step: Step):
-        """Turn a non-declarative step into a request frame.
+        """Turn a non-declarative step into a :data:`Request`.
 
-        Returns (frame, error): ``error`` is an (code, message) pair when the
-        step cannot be dispatched (unbound predicate, rebound row variable,
-        unbound value variable).
+        Returns (request, error): ``error`` is an (code, message) pair when
+        the step cannot be dispatched (unbound predicate, rebound row
+        variable, unbound value variable).
         """
         k = step.kind
+        if k is OpKind.IL:
+            return _begin(step.level), None
         if k is OpKind.C:
-            return build_frame("COMMIT"), None
+            return _commit, None
         if k is OpKind.A:
-            return build_frame("ROLLBACK"), None
-        if k is OpKind.R:
-            return build_frame("READ", self._resolve_row(step.row_var), "recval"), None
-        if k is OpKind.W:
-            if step.value_var is not None:
-                if step.value_var not in self.env.value_vars:
-                    return None, ("UnboundValueVar", f"value variable {step.value_var} is unbound")
-                value = self.env.value_vars[step.value_var]
-            elif step.literal is not None:
-                value = step.literal
-            else:
-                value = "DEFAULT"
-            return build_frame("WRITE", self._resolve_row(step.row_var), value), None
-        if k is OpKind.RW:
-            return build_frame("RW", self._resolve_row(step.row_var)), None
-        if k is OpKind.D:
-            return build_frame("DELETE", self._resolve_row(step.row_var)), None
+            return _rollback, None
         if k is OpKind.I:
             if step.row_var in self.env.row_vars:
                 return None, (
                     "RowVarRebound",
                     f"row variable {step.row_var} is already bound; inserts bind fresh rows",
                 )
-            if step.column_spec:
-                cols = ";".join(step.column_spec)
-                vals = ";".join(str(v) for v in step.value_spec)
-            else:
-                cols = vals = "-"
-            return build_frame("INSERT", "AUTO", cols, vals), None
+            values = dict(zip(step.column_spec, step.value_spec)) if step.column_spec else {}
+            return lambda engine, txn: _value_and_image(*engine.insert_item(txn, None, values)), None
         if k in (OpKind.PR, OpKind.SU, OpKind.SS):
             predicate = self.env.pred_vars.get(step.pred_var)
             if predicate is None:
                 return None, ("UnboundPredicate", f"predicate {step.pred_var} was never declared")
-            compact = render_predicate(predicate, compact=True)
-            if k is OpKind.PR:
-                columns = "count(*)" if step.aggregate == "count" else ";".join(step.column_spec)
-                return build_frame("PR", step.pred_var, columns, step.row_limit, compact), None
-            if k is OpKind.SU:
-                return build_frame("SU", step.literal, compact), None
-            agg = "count" if step.aggregate == "count" else "sum"
-            return build_frame("SS", agg, compact), None
-        raise ValueError(f"cannot resolve step kind {k}")
+            return self._predicate_request(step, predicate), None
+        if k is OpKind.W:
+            if step.value_var is not None:
+                if step.value_var not in self.env.value_vars:
+                    return None, ("UnboundValueVar", f"value variable {step.value_var} is unbound")
+                updates = {"recval": self.env.value_vars[step.value_var]}
+            else:
+                updates = None if step.literal is None else {"recval": step.literal}
+            key = self._resolve_row(step.row_var)
+            return lambda engine, txn: (None, [engine.write_item(txn, key, updates)]), None
+        if k not in (OpKind.R, OpKind.RW, OpKind.D):
+            raise ValueError(f"cannot resolve step kind {k}")
+        key = self._resolve_row(step.row_var)
+        if k is OpKind.R:
+            return lambda engine, txn: ([engine.read_item(txn, key, "recval")], []), None
+        if k is OpKind.RW:
+            return lambda engine, txn: _value_and_image(*engine.rw_item(txn, key)), None
+        return lambda engine, txn: (None, [engine.delete_item(txn, key)]), None
+
+    @staticmethod
+    def _predicate_request(step: Step, predicate: PredicateExpr) -> Request:
+        if step.kind is OpKind.SU:
+            def request(engine, txn):
+                count, images = engine.set_update(txn, predicate, step.literal)
+                return [count], images
+        elif step.kind is OpKind.SS:
+            def request(engine, txn):
+                return [engine.set_select(txn, predicate, step.aggregate)], []
+        else:
+            def request(engine, txn):
+                rows = engine.predicate_read(txn, step.pred_var, predicate, step.column_spec,
+                                             step.row_limit, step.aggregate)
+                return [t[0] if len(t) == 1 else t for t in rows], []
+        return request
 
     def _apply_result_bindings(self, step: Step, values: list) -> None:
         k = step.kind
@@ -373,20 +315,7 @@ class Monitor:
                 if step.value_var and isinstance(last, tuple) and len(last) > 1:
                     self.env.value_vars[step.value_var] = last[1]
 
-    # ------------------------------------------------------------ responses
-
-    @staticmethod
-    def _parse_response(response: str):
-        """Split a worker response into (ok, code, values, images)."""
-        if not response.endswith("\n"):
-            raise ProtocolError("response must be newline terminated")
-        tokens = response[:-1].split(" ")
-        if tokens[0] == "FAILURE":
-            return False, tokens[1] if len(tokens) > 1 else "Unknown", None, []
-        if tokens[0] != "SUCCESS":
-            raise ProtocolError(f"bad response head {tokens[0]!r}")
-        values, images = decode_fields(tokens[1:], check=False)
-        return True, None, values, images
+    # ------------------------------------------------------------- outcomes
 
     def _status_for_failure(self, code: str) -> Tuple[str, Optional[str]]:
         if code == DeadlockAbort.code:
@@ -428,7 +357,7 @@ class Monitor:
                 # implicit BEGIN: a request like any other that records nothing
                 level = self._default_level()
                 self.levels[step.txn] = level
-                self._send(step.txn, build_frame("BEGIN", level.name), None)
+                self._send(step.txn, _begin(level), None)
                 continue
             self._dispatch(work.pop(0))
         return submitted
@@ -438,17 +367,14 @@ class Monitor:
         if step.kind in (OpKind.PRED, OpKind.MAP):
             self._execute_declarative(step)
             return
-        if step.kind is OpKind.IL:
-            frame, error = build_frame("BEGIN", step.level.name), None
-        else:
-            frame, error = self.resolve_step(step)
+        request, error = self.resolve_step(step)
         op_text = render_step(step, self.env.row_vars, compact=True)
         if error is not None:
             self._emit(
                 OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=error[0])
             )
             return
-        self._send(step.txn, frame, _Pending(step, op_text, self._submit_seq))
+        self._send(step.txn, request, _Pending(step, op_text, self._submit_seq))
 
     def _settle(self, work: list) -> bool:
         """Wait until no submitted request is running, then record what
@@ -483,29 +409,26 @@ class Monitor:
         work[:0] = resumed
         return not expired
 
-    def _complete(self, pend: _Pending, response: str) -> None:
-        ok, code, values, images = self._parse_response(response)
+    def _complete(self, pend: _Pending, outcome) -> None:
         step = pend.step
-        if ok:
-            if step.kind is OpKind.IL:
-                self.levels[step.txn] = step.level
-            status = STATUS_RESUMED if pend.blocked_seq is not None else STATUS_OK
-            self._apply_result_bindings(step, values or [])
-            op_text = render_step(step, self.env.row_vars, compact=True)
-            rec = OutputRecord(
-                0, pend.submit_seq, step.txn, op_text, status,
-                resumed_of=pend.blocked_seq,
-                values=self._record_values(step, values),
-                images=images,
-            )
-            self._emit(rec)
+        if isinstance(outcome, str):  # the code of the error the request raised
+            status, error_code = self._status_for_failure(outcome)
+            self._emit(OutputRecord(0, pend.submit_seq, step.txn, pend.op_text, status,
+                                    error_code=error_code))
             return
-        status, error_code = self._status_for_failure(code)
-        self._emit(
-            OutputRecord(
-                0, pend.submit_seq, step.txn, pend.op_text, status, error_code=error_code,
-            )
+        values, images = outcome
+        if step.kind is OpKind.IL:
+            self.levels[step.txn] = step.level
+        status = STATUS_RESUMED if pend.blocked_seq is not None else STATUS_OK
+        self._apply_result_bindings(step, values or [])
+        op_text = render_step(step, self.env.row_vars, compact=True)
+        rec = OutputRecord(
+            0, pend.submit_seq, step.txn, op_text, status,
+            resumed_of=pend.blocked_seq,
+            values=self._record_values(step, values),
+            images=images,
         )
+        self._emit(rec)
 
     @staticmethod
     def _record_values(step: Step, values) -> Optional[list]:
@@ -543,7 +466,7 @@ class Monitor:
                 finals[txn] = state.status.value
         self.engine.shutdown()
         for worker in self.workers.values():
-            worker.send(build_frame("FINALIZE"))
+            worker.send(None)
         header = RunHeader(
             name=self.prog.source_name,
             mode=self.config.mode.value,

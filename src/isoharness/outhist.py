@@ -13,12 +13,12 @@ transaction final statuses.  Every successful write record carries full
 before/after row images (one BEFORE/AFTER pair per written row), which is
 what lets the analyzer decide predicate membership after the fact.
 
-The fields after the status are also the tail of a worker's ``SUCCESS``
-response, and :func:`decode_fields` reads both.  The worker encodes each
-image once.  The monitor and :func:`parse_output` both keep that text
-(:class:`ImageText`), which :func:`serialize` writes verbatim;
-:func:`parse_output` checks every side as it reads it, and a side is decoded
-only when a Row is needed.
+A record made by the monitor keeps the engine's :class:`engine.WriteImage`
+objects, and :func:`serialize` encodes each image once, through
+:func:`encode_image`.  :func:`parse_output` reads the fields after the status
+with :func:`decode_fields` and keeps each image as its text
+(:class:`ImageText`): it checks every side as it reads it, decodes a side only
+when a Row is needed, and :func:`serialize` writes the kept text verbatim.
 """
 
 from __future__ import annotations
@@ -149,18 +149,16 @@ def encode_image(image: WriteImage) -> str:
 
 
 class ImageText(WriteImage):
-    """A write image kept as the worker's text.  Each side is decoded on first
-    use, and :func:`serialize` writes the text back verbatim.  With ``check``,
-    a side that :func:`decode_image_side` rejects raises ValueError at once."""
+    """A write image kept as its record text.  A side that
+    :func:`decode_image_side` rejects raises ValueError at once; each side is
+    decoded on first use, and :func:`serialize` writes the text back verbatim."""
 
-    def __init__(self, before: str, after: str, check: bool):
+    def __init__(self, before: str, after: str):
         if before == after == "ABSENT":
             raise ValueError("image with both sides ABSENT")
         self.texts = (before, after)
-        if check:  # raises ValueError where decode_image_side does
-            if before != "ABSENT":
-                _side_reckey(before)
-            self.reckey = self._read_reckey()  # checks the side it is read from
+        before_key = None if before == "ABSENT" else _side_reckey(before)
+        self.reckey = before_key if after == "ABSENT" else _side_reckey(after)
 
     @cached_property
     def before(self) -> Optional[Row]:
@@ -169,12 +167,6 @@ class ImageText(WriteImage):
     @cached_property
     def after(self) -> Optional[Row]:
         return decode_image_side(self.texts[1])
-
-    def _read_reckey(self) -> int:
-        before, after = self.texts
-        return _side_reckey(before if after == "ABSENT" else after)
-
-    reckey = cached_property(_read_reckey)
 
     def __eq__(self, other):
         if not isinstance(other, WriteImage):
@@ -206,13 +198,10 @@ def decode_values(text: str) -> list:
     return out
 
 
-def decode_fields(tokens, check=True) -> Tuple[Optional[list], List[WriteImage]]:
+def decode_fields(tokens) -> Tuple[Optional[list], List[WriteImage]]:
     """Decode the fields after a record's status, ``VALUES=`` and paired
     ``BEFORE=``/``AFTER=`` tokens, into (values, images).  Each image is kept
-    as :class:`ImageText`.  A worker's response tail is the same field list,
-    so the record parser, which checks every image text, and the monitor's
-    response parser, which trusts the worker's text and passes
-    ``check=False``, share it.  Raises ValueError."""
+    as :class:`ImageText`.  Raises ValueError."""
     values = None
     images: List[WriteImage] = []
     pending_before: Optional[str] = None
@@ -229,7 +218,7 @@ def decode_fields(tokens, check=True) -> Tuple[Optional[list], List[WriteImage]]
         elif key == "AFTER":
             if pending_before is None:
                 raise ValueError("AFTER without BEFORE")
-            images.append(ImageText(pending_before, payload, check))
+            images.append(ImageText(pending_before, payload))
             pending_before = None
         else:
             raise ValueError(f"unknown field {key!r}")

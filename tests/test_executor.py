@@ -15,19 +15,17 @@ from isoharness.executor import (
     ExecutorConfig,
     Mode,
     Monitor,
-    ProtocolError,
     Worker,
-    build_frame,
     handle_frame,
     run_history,
 )
-from isoharness.notation import IsolationLevel, parse_history
+from isoharness.notation import IsolationLevel, parse_history, parse_predicate
 from isoharness.outhist import (
     STATUS_BLOCKED,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_RESUMED,
-    decode_fields,
+    parse_output,
     serialize,
 )
 
@@ -160,67 +158,88 @@ def test_pr_binds_row_and_value_vars():
     assert mon.env.value_vars["X"] == 20000
 
 
-# ---------------------------------------------------------- frame protocol
+# --------------------------------------------------------------- requests
 
 
-def _engine():
-    e = Engine(build_canonical_table(200), EngineConfig())
-    e.begin(1, IsolationLevel.RC)
-    return e
+def _requester(**predicates):
+    """A monitor with ``predicates`` declared and transaction 1 begun at RC,
+    and a function that resolves one step of transaction 1 and runs its
+    request on the monitor's engine."""
+    mon = Monitor(parse_history("IL1(RC)"), fast_config())
+    mon.env.pred_vars.update((name, parse_predicate(text)) for name, text in predicates.items())
+    mon.engine.begin(1, IsolationLevel.RC)
+
+    def run(step_text):
+        request, error = mon.resolve_step(parse_history(step_text).steps[0])
+        assert error is None
+        return handle_frame(mon.engine, 1, request)
+
+    return mon, run
 
 
 def test_read_frame_response():
-    assert handle_frame(_engine(), 1, "READ 100 recval\n") == "SUCCESS VALUES=10000\n"
+    _, run = _requester()
+    assert run("R1(A)") == ([10000], [])  # A auto-binds to row 100
 
 
 def test_missing_row_failure_frame():
-    worker = Worker(1, _engine(), queue.SimpleQueue())
-    worker.send("WRITE 99999 DEFAULT\n")
-    _, txn, response = worker.responses.get(timeout=2)
-    assert txn == 1
-    assert response.startswith("FAILURE RowNotFound")
-    assert response.endswith("\n")
-    worker.send(build_frame("FINALIZE"))
-    assert worker.responses.get(timeout=2)[2] == "SUCCESS\n"
-
-
-def test_frame_without_newline_rejected():
-    with pytest.raises(ProtocolError):
-        handle_frame(_engine(), 1, "READ 100 recval")
-
-
-def test_unknown_frame_rejected():
-    with pytest.raises(ProtocolError):
-        handle_frame(_engine(), 1, "FROB 1\n")
+    mon, _ = _requester()
+    mon.env.row_vars["A"] = 99999
+    request, _ = mon.resolve_step(parse_history("W1(A, 7)").steps[0])
+    worker = Worker(1, mon.engine, queue.SimpleQueue())
+    worker.send(request)
+    assert worker.responses.get(timeout=2)[1:] == (1, "RowNotFound")
+    worker.send(None)  # ends the thread
+    worker.thread.join(timeout=2)
+    assert not worker.thread.is_alive()
 
 
 def test_pr_frame_roundtrip():
-    e = _engine()
-    resp = handle_frame(e, 1, "PR P recval 1 (k2=1)and(k3<2)\n")
-    assert resp == "SUCCESS VALUES=200:20000\n"
-    resp = handle_frame(e, 1, "PR P reckey all (k2=1)and(k3<2)\n")
-    assert resp.startswith("SUCCESS VALUES=400,800,")  # continues past position 200
-    assert "P" not in e.txns[1].cursors  # the drain closed the cursor
+    mon, run = _requester(P="(k2=1)and(k3<2)", Q="k2=1")
+    assert run("PR1(P;recval;1)") == ([(200, 20000)], [])
+    values, images = run("PR1(P;reckey;all)")
+    assert values[:2] == [400, 800] and not images  # continues past position 200
+    assert "P" not in mon.engine.txns[1].cursors  # the drain closed the cursor
+    assert run("PR1(Q;count(*);1)") == ([100], [])
 
 
 def test_su_and_ss_frames():
-    e = _engine()
-    resp = handle_frame(e, 1, "SU 5 (reckey=100)\n")
-    assert resp.startswith("SUCCESS VALUES=1 BEFORE=")
-    assert handle_frame(e, 1, "SS sum (reckey<=200)\n") == "SUCCESS VALUES=30005\n"
+    _, run = _requester(P="reckey=100", S="reckey<=200")
+    values, images = run("SU1(P, 5)")
+    assert values == [1]
+    assert [(img.reckey, img.before.values["recval"], img.after.values["recval"])
+            for img in images] == [(100, 10000, 10005)]
+    assert run("SS1(S, sum(recval))") == ([30005], [])
+    assert run("SS1(S, count(*))") == ([2], [])
 
 
-@pytest.mark.parametrize("frame", [
-    "READ 100 recval", "WRITE 200 7", "RW 300", "INSERT AUTO recval;k2 5;1", "DELETE 400",
-    "PR P recval;k2 all (k3=0)", "PR Q count(*) 1 (k2=1)", "SU 5 (k2=0)", "SS count (k2=0)",
+@pytest.mark.parametrize("step", [
+    "R1(A)", "W1(B, 7)", "RW1(E)", "I1(N;recval;k2, 5;1)", "D1(F)",
+    "PR1(P;recval;k2;all)", "PR1(Q;count(*);1)", "SU1(P, 5)", "SS1(P, count(*))",
 ])
-def test_response_tail_is_a_record_field_list(frame):
-    # the monitor and the output-history parser read one field grammar
-    response = handle_frame(_engine(), 1, frame + "\n")
-    head, *tail = response.split()
-    assert head == "SUCCESS" and tail
-    values, images = decode_fields(tail, check=True)
-    assert values is not None or images
+def test_request_outcome_is_what_its_record_reads_back(step):
+    # a record carries the request's (values, images); written to an output
+    # history and read back, it is equal
+    text = f"PRED(P, k3=0) PRED(Q, k2=1) IL1(RC) {step} C1"
+    oh, mon = run_text(text)
+    rec = oh.records[3]
+    assert rec.status == STATUS_OK and (rec.values is not None or rec.images)
+    assert parse_output(serialize(oh)).records[3] == rec
+
+
+def test_worker_failure_becomes_an_error_record(monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("broken engine")
+
+    monkeypatch.setattr(Engine, "read_item", broken)
+    oh, _ = run_text("IL1(RC) R1(A) C1")
+    assert not oh.header.stuck
+    assert [(r.op_text, r.status, r.error_code) for r in oh.records] == [
+        ("IL1(RC)", STATUS_OK, None),
+        ("R1(A=100)", STATUS_ERROR, "InternalError"),
+        ("C1", STATUS_OK, None),
+    ]
+    assert oh.finals == {1: "COMMITTED"}
 
 
 # ------------------------------------------------------------ async mode
@@ -228,14 +247,14 @@ def test_response_tail_is_a_record_field_list(frame):
 
 def _async_sends(monkeypatch, text):
     """Run ``text`` in ASYNC mode; returns the output history and, for each
-    request frame sent, its transaction, its first word and the transactions
-    that had a request out just before it."""
+    request sent, its transaction, its step's kind (BEGIN for an implicit
+    one) and the transactions that had a request out just before it."""
     sends = []
     send = Monitor._send
 
-    def spy(self, txn, frame, pend):
-        sends.append((txn, frame.split()[0], set(self.pending)))
-        send(self, txn, frame, pend)
+    def spy(self, txn, request, pend):
+        sends.append((txn, pend.step.kind.name if pend else "BEGIN", set(self.pending)))
+        send(self, txn, request, pend)
 
     monkeypatch.setattr(Monitor, "_send", spy)
     oh = Monitor(parse_history(text), fast_config(mode=Mode.ASYNC)).run()
@@ -247,14 +266,14 @@ def test_async_disjoint_transactions_overlap(monkeypatch):
     assert not oh.header.stuck
     assert oh.finals == {1: "COMMITTED", 2: "COMMITTED"}
     # both writes were in flight at once: W2 went out while W1 was still out
-    writes = [(txn, out) for txn, op, out in sends if op == "WRITE"]
+    writes = [(txn, out) for txn, op, out in sends if op == "W"]
     assert writes == [(1, set()), (2, {1})]
 
 
 def test_async_one_outstanding_per_txn(monkeypatch):
     oh, sends = _async_sends(monkeypatch, "IL1(RC) W1(A, 1) W1(A, 2) W1(A, 3) C1")
     assert oh.finals == {1: "COMMITTED"}
-    assert [op for _, op, _ in sends] == ["BEGIN", "WRITE", "WRITE", "WRITE", "COMMIT"]
+    assert [op for _, op, _ in sends] == ["IL", "W", "W", "W", "C"]
     for txn, _, out in sends:
         assert txn not in out  # no overlap within a transaction
 

@@ -310,7 +310,6 @@ def test_images_decoded_only_when_a_row_is_needed(monkeypatch):
     )
     images = [img for rec in oh.records for img in rec.images]
     assert len(images) == 35  # 34 set-update rows and one write
-    assert calls == []  # the monitor keeps the worker's text
 
     parsed = parse_output(serialize(oh))
     assert calls == []  # parse_output checks each side's text and decodes none
@@ -321,11 +320,27 @@ def test_images_decoded_only_when_a_row_is_needed(monkeypatch):
     for judged in (oh, parsed):
         analyze_history(judged)
         analyze_history(judged)
-    assert len(calls) <= 2 * 2  # per history, the pr_w pair stops at the first image in P
+    # the monitor's images are the engine's own and decode nothing; in the
+    # parsed history the pr_w pair stops at the first image in P
+    assert len(calls) <= 2
     for img in images + parsed_images:
         img.before, img.after, img.reckey, img.value_dicts()
-    assert len(calls) == 2 * (len(images) + len(parsed_images))  # each side once, then cached
+    assert len(calls) == 2 * len(parsed_images)  # each side once, then cached
     assert parsed == oh and oh == parsed
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("IL1(RC) W1(A, 1) W1(A, 2) A1", [(10000, 1), (1, 2)]),
+    ("PRED(P, reckey<=200) IL1(RC) SU1(P, 5) SU1(P, 5) A1",
+     [(10000, 10005), (20000, 20005), (10005, 10010), (20005, 20010)]),
+])
+def test_record_keeps_each_image_as_written(text, expected):
+    # the records share their images with the undo log; a later write and the
+    # rollback leave what each record serializes as it was written
+    oh, _ = run_text(text)
+    parsed = parse_output(serialize(oh))
+    images = [img for rec in parsed.records for img in rec.images]
+    assert [(img.before.values["recval"], img.after.values["recval"]) for img in images] == expected
 
 
 def test_judging_a_set_update_decodes_a_handful_of_sides(monkeypatch):
