@@ -17,7 +17,7 @@ import concurrent.futures
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,10 +63,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strictness", choices=("per-level", "strict"), default="per-level")
     parser.add_argument("--ru-writes-allowed", action="store_true",
                         help="let RU transactions write (reproduces permissive systems)")
-    parser.add_argument("--verbose", action="store_true")
 
 
-def _exec_config(args) -> ExecutorConfig:
+def _exec_config(args, verbose: bool = False) -> ExecutorConfig:
     engine = EngineConfig(
         lock_scope=_LOCK_SCOPES[args.lock_scope],
         strictness=Strictness.PER_LEVEL if args.strictness == "per-level" else Strictness.STRICT_ALL_LONG,
@@ -80,7 +79,7 @@ def _exec_config(args) -> ExecutorConfig:
         default_level=level,
         rows=args.rows,
         engine=engine,
-        verbose=args.verbose,
+        verbose=verbose,
     )
 
 
@@ -176,8 +175,7 @@ def run_campaign(base_config: ExecutorConfig,
     )
 
     def run_one(prog: HistoryProgram) -> CellResult:
-        config = replace(base_config, engine=replace(base_config.engine), verbose=False)
-        output = run_history(prog, config)
+        output = run_history(prog, base_config)
         judgment = analyze_history(output)
         meta = prog.metadata
         cls = meta.get("class", "?")
@@ -247,7 +245,7 @@ def cmd_run(args) -> int:
     except NotationError as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
         return 1
-    output = run_history(prog, _exec_config(args))
+    output = run_history(prog, _exec_config(args, args.verbose))
     out_path = Path(args.out) if args.out else path.with_suffix(".outhist")
     out_path.write_text(serialize(output))
     if output.header.stuck:
@@ -260,7 +258,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     counts: Counter = Counter()
-    grid: Dict[Tuple[str, str, str], str] = {}
+    grid: Dict[Tuple[str, str, str, str], str] = {}
     status = 0
     for name in args.outhists:
         path = Path(name)
@@ -287,11 +285,12 @@ def cmd_analyze(args) -> int:
         print(f"{output.header.name}: {verdict.value}{suffix}")
         meta = output.header.meta
         if "class" in meta:
-            grid[(meta["class"], meta.get("l1", "?"), meta.get("l2", "?"))] = verdict.value
+            cell = (meta["class"], meta.get("variant", "?"), meta.get("l1", "?"), meta.get("l2", "?"))
+            grid[cell] = verdict.value
     if grid:
-        print("\nsummary (class, L1, L2 -> verdict):")
-        for key in sorted(grid):
-            print(f"  {key[0]:6s} {key[1]}_{key[2]}: {grid[key]}")
+        print("\nsummary (class, variant, L1, L2 -> verdict):")
+        for (cls, variant, l1, l2), verdict in sorted(grid.items()):
+            print(f"  {cls:6s} {variant:10s} {l1}_{l2}: {verdict}")
     print("\ntotals: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return status
 
@@ -339,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one history file")
     p_run.add_argument("history")
     p_run.add_argument("-o", "--out", default=None)
+    p_run.add_argument("--verbose", action="store_true", help="print each record as it is made")
     _add_run_options(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -8,7 +8,12 @@ Operation names are case-insensitive and carry the transaction subscript as
 trailing decimal digits (``W1``, ``PR2``).  Declarative operations (``PRED``,
 ``MAP``) have no subscript.  ``#`` starts a line comment; comment lines of the
 form ``#: key=value`` carry program metadata (used by the generator to tag a
-history with its intended conflict class).
+history with its intended conflict class).  An integer, wherever one appears,
+is an optional ``-`` and decimal digits.
+
+:func:`parse_history` and :func:`parse_record_op` read each operation with one
+scanner that keeps every argument's offset, so a :class:`HistorySyntaxError`
+names the line and column of its fault, inside a ``PRED`` expression too.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 
 SCHEMA_COLUMN_SUFFIXES = (2, 3, 4, 5, 6, 50, 100)
@@ -211,88 +216,92 @@ class HistoryProgram:
 
 # --- predicate expressions -------------------------------------------------
 
-_PRED_TOKEN = re.compile(r"\s*(\(|\)|<=|>=|<>|=|<|>|-?\d+|[A-Za-z_][A-Za-z_0-9]*)")
+#: The notation's one integer rule: an optional ``-`` and decimal digits.
+#: ``int()`` alone would also take ``+5``, `` 5`` or ``1_0``.
+_INT = re.compile(r"-?\d+")
+
+_PRED_TOKEN = re.compile(rf"\s*(\(|\)|<=|>=|<>|=|<|>|{_INT.pattern}|[A-Za-z_][A-Za-z_0-9]*)")
 
 
-def _tokenize_predicate(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _PRED_TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise HistorySyntaxError("bad predicate token", pos, rest.split()[0], text)
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+def _parse_int(arg: tuple, source: str) -> int:
+    """The integer of a ``(text, offset)`` pair."""
+    text, offset = arg
+    if not _INT.fullmatch(text):
+        raise HistorySyntaxError("expected integer", offset, text, source)
+    return int(text)
 
 
-def parse_predicate(text: str) -> PredicateExpr:
+def parse_predicate(text: str, offset: int = 0, source: Optional[str] = None) -> PredicateExpr:
     """Parse a boolean expression over schema columns.
 
     ``and`` binds tighter than ``or``; parentheses override.  Comparison
-    operators: = < > <= >= <>.  Raises :class:`HistorySyntaxError` on
-    malformed input and :class:`UnknownColumn` for non-schema columns.
+    operators: = < > <= >= <>.  ``text`` starts at ``offset`` in ``source``
+    (by default ``text`` itself), so a :class:`HistorySyntaxError` for
+    malformed input gives the line and column of its token in ``source``.
+    Raises :class:`UnknownColumn` for non-schema columns.
     """
-    tokens = _tokenize_predicate(text)
-    if not tokens:
-        raise HistorySyntaxError("empty predicate", 0, text, text)
+    if source is None:
+        source = text
+    tokens = []  # (token, offset in source), closed by ("", end of text)
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    while m := _PRED_TOKEN.match(text, pos):
+        tokens.append((m.group(1), offset + m.start(1)))
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise HistorySyntaxError("bad predicate token", offset + len(text) - len(rest),
+                                 rest.split()[0], source)
+    tokens.append(("", offset + len(text)))
+    i = 0
 
     def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+        nonlocal i
+        token = tokens[i]
+        i = min(i + 1, len(tokens) - 1)
+        return token
+
+    def next_is(word):
+        return tokens[i][0].lower() == word
 
     def parse_or():
         items = [parse_and()]
-        while peek() is not None and peek().lower() == "or":
+        while next_is("or"):
             take()
             items.append(parse_and())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def parse_and():
         items = [parse_factor()]
-        while peek() is not None and peek().lower() == "and":
+        while next_is("and"):
             take()
             items.append(parse_factor())
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_factor():
-        tok = peek()
-        if tok == "(":
-            take()
-            inner = parse_or()
-            if take() != ")":
-                raise HistorySyntaxError("expected ')'", 0, text, text)
-            return inner
-        return parse_comparison()
+        if not next_is("("):
+            return parse_comparison()
+        take()
+        inner = parse_or()
+        close, at = take()
+        if close != ")":
+            raise HistorySyntaxError("expected ')'", at, close, source)
+        return inner
 
     def parse_comparison():
-        col = take()
-        if col is None or not col[0].isalpha():
-            raise HistorySyntaxError("expected column name", 0, str(col), text)
+        col, at = take()
+        if not col[:1].isalpha():
+            raise HistorySyntaxError("expected column name", at, col, source)
         if col not in _SCHEMA_COLUMN_SET:
             raise UnknownColumn(col)
-        op = take()
+        op, at = take()
         if op not in _REL_OPS:
-            raise HistorySyntaxError("expected relational operator", 0, str(op), text)
-        num = take()
-        try:
-            value = int(num)
-        except (TypeError, ValueError):
-            raise HistorySyntaxError("expected integer constant", 0, str(num), text)
-        return Comparison(col, op, value)
+            raise HistorySyntaxError("expected relational operator", at, op, source)
+        return Comparison(col, op, _parse_int(take(), source))
 
     expr = parse_or()
-    if pos != len(tokens):
-        raise HistorySyntaxError("trailing predicate tokens", 0, tokens[pos], text)
+    extra, at = take()
+    if extra:
+        raise HistorySyntaxError("trailing predicate tokens", at, extra, source)
     return expr
 
 
@@ -302,305 +311,266 @@ def render_predicate(expr: PredicateExpr, compact: bool = False) -> str:
     if isinstance(expr, Comparison):
         body = f"{expr.column}{expr.op}{expr.value}"
         return f"({body})" if compact else body
-    sep_and = "and" if compact else " and "
-    sep_or = "or" if compact else " or "
-    if isinstance(expr, And):
-        parts = []
-        for item in expr.items:
-            text = render_predicate(item, compact)
-            if isinstance(item, Or):
-                text = f"({text})"
-            parts.append(text)
-        return sep_and.join(parts)
+    conjunction = isinstance(expr, And)
     parts = []
     for item in expr.items:
         text = render_predicate(item, compact)
-        if isinstance(item, (And, Or)) and not compact:
-            text = f"({text})"
-        elif isinstance(item, Or):
+        # an Or item needs parentheses; an And item in an Or only reads better with them
+        if isinstance(item, Or) or (isinstance(item, And) and not conjunction and not compact):
             text = f"({text})"
         parts.append(text)
-    return sep_or.join(parts)
+    word = "and" if conjunction else "or"
+    return (word if compact else f" {word} ").join(parts)
 
 
 # --- history surface grammar -----------------------------------------------
 
 _WORD = re.compile(r"([A-Za-z]+)(\d*)")
+_OPEN = re.compile(r"[ \t]*\(")  # the paper writes "PRED (P, ...)"
+_ARG_MARK = re.compile(r'[(),"]')
+_SPACE = re.compile(r"\s*")
+_COMMENT = re.compile(r"#[^\n]*")
+_META = re.compile(r"#:\s*([A-Za-z_][\w-]*)\s*=\s*(.*?)\s*$")
+_VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_BINDING = re.compile(rf"({_VAR_NAME.pattern})=({_INT.pattern})(?=[,;)])")
 
 _KIND_NAMES = {k.value: k for k in OpKind}
 
+#: The argument list of each kind as its errors show it, and how many
+#: arguments it takes.
+_SIGNATURES = {
+    OpKind.PRED: ("(var, expression)", 2, 2),
+    OpKind.MAP: ("(var, reckey)", 2, 2),
+    OpKind.IL: ("(level)", 1, 1),
+    OpKind.R: ("(row[, var])", 1, 2),
+    OpKind.RW: ("(row[, var])", 1, 2),
+    OpKind.W: ("(row[, value])", 1, 2),
+    OpKind.D: ("(row)", 1, 1),
+    OpKind.I: ("(row[;columns, values])", 1, 2),
+    OpKind.PR: ("(pred;columns;limit[;row][, var])", 1, 2),
+    OpKind.SU: ("(pred[, delta])", 1, 2),
+    OpKind.SS: ("(pred[, aggregate])", 1, 2),
+}
 
-def _split_top_level(text: str, sep: str) -> list:
-    """Split on ``sep`` outside parentheses and double quotes."""
-    parts = []
-    depth = 0
-    quoted = False
-    cur = []
-    for ch in text:
-        if ch == '"':
-            quoted = not quoted
-            cur.append(ch)
-        elif quoted:
-            cur.append(ch)
-        elif ch == "(":
-            depth += 1
-            cur.append(ch)
-        elif ch == ")":
-            depth -= 1
-            cur.append(ch)
-        elif ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _strip_quotes(text: str) -> str:
-    text = text.strip()
-    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        return text[1:-1]
-    return text
+_AGGREGATES = {"sum(recval)": "sum", "count(*)": "count"}
 
 
 def _strip_comments(source: str):
-    """Remove # comments, collecting ``#: key=value`` metadata lines.
+    """Blank out # comments, collecting ``#: key=value`` metadata lines.
 
-    Comment characters are replaced by spaces so offsets into the cleaned
-    text remain valid offsets into the original source.
+    Blanking keeps every offset into the cleaned text an offset into the source.
     """
     metadata = {}
-    chars = list(source)
-    for m in re.finditer(r"#[^\n]*", source):
-        comment = m.group(0)
-        meta = re.match(r"#:\s*([A-Za-z_][\w-]*)\s*=\s*(.*?)\s*$", comment)
+
+    def blank(m):
+        meta = _META.match(m.group())
         if meta:
             metadata[meta.group(1)] = meta.group(2)
-        for i in range(m.start(), m.end()):
-            chars[i] = " "
-    return "".join(chars), metadata
+        return " " * len(m.group())
+
+    return _COMMENT.sub(blank, source), metadata
 
 
-def _parse_int(text: str, offset: int, source: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise HistorySyntaxError("expected integer", offset, text.strip(), source)
+def _stripped(text: str, offset: int) -> tuple:
+    """``text`` at ``offset`` without surrounding whitespace, as a
+    ``(text, offset)`` pair."""
+    body = text.lstrip()
+    return body.rstrip(), offset + len(text) - len(body)
 
 
-_VAR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+def _arguments(text: str, start: int, source: str):
+    """Read the argument list whose ``(`` is ``text[start]``.
+
+    Returns a stripped ``(text, offset)`` pair per argument, split at commas
+    outside nested parentheses and double quotes, and the offset just past
+    the closing ``)``.
+    """
+    args = []
+    depth = 0
+    quoted = False
+    mark = start + 1
+    for m in _ARG_MARK.finditer(text, start):
+        ch = m.group()
+        if ch == '"':
+            quoted = not quoted
+        elif quoted:
+            continue
+        elif ch == "(":
+            depth += 1
+        elif ch == ")" and depth > 1:
+            depth -= 1
+        elif depth == 1:  # a top-level "," or the closing ")"
+            args.append(_stripped(text[mark:m.start()], mark))
+            mark = m.end()
+            if ch == ")":
+                return args, mark
+    raise HistorySyntaxError("unbalanced '('", start, text[start:start + 8], source)
 
 
-def _var_name(text: str, offset: int, source: str) -> str:
-    name = text.strip()
-    if not _VAR_NAME.match(name):
+def _fields(arg: tuple) -> list:
+    """The ``;``-separated fields of an argument, as ``(text, offset)`` pairs."""
+    text, offset = arg
+    fields = []
+    for piece in text.split(";"):
+        fields.append(_stripped(piece, offset))
+        offset += len(piece) + 1
+    return fields
+
+
+def _var_name(arg: tuple, source: str) -> str:
+    name, offset = arg
+    if not _VAR_NAME.fullmatch(name):
         raise HistorySyntaxError("expected variable name", offset, name, source)
     return name
 
 
-def _value_arg(step: Step, text: str, offset: int, source: str) -> None:
-    """A write-source argument: integer literal or value-variable name."""
-    text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
-        step.literal = int(text)
-    else:
-        step.value_var = _var_name(text, offset, source)
+def _schema_columns(names) -> tuple:
+    for name in names:
+        if name not in _SCHEMA_COLUMN_SET:
+            raise UnknownColumn(name)
+    return tuple(names)
 
 
 def parse_history(source: str, source_name: str = "<history>") -> HistoryProgram:
     """Parse history source text into a validated :class:`HistoryProgram`."""
-    cleaned, metadata = _strip_comments(source)
+    text, metadata = _strip_comments(source)
     steps = []
-    pos = 0
-    n = len(cleaned)
-    while True:
-        while pos < n and cleaned[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        start = pos
-        m = _WORD.match(cleaned, pos)
-        if not m:
-            raise HistorySyntaxError("expected operation", pos, cleaned[pos], source)
-        name, digits = m.group(1).upper(), m.group(2)
-        if name not in _KIND_NAMES:
-            raise HistorySyntaxError("unknown operation", start, m.group(0), source)
-        kind = _KIND_NAMES[name]
-        pos = m.end()
-        args_text = None
-        # optional whitespace before the argument list (paper writes "PRED (P, ...)")
-        look = pos
-        while look < n and cleaned[look] in " \t":
-            look += 1
-        if look < n and cleaned[look] == "(":
-            depth = 0
-            quoted = False
-            for j in range(look, n):
-                ch = cleaned[j]
-                if ch == '"':
-                    quoted = not quoted
-                elif not quoted and ch == "(":
-                    depth += 1
-                elif not quoted and ch == ")":
-                    depth -= 1
-                    if depth == 0:
-                        args_text = cleaned[look + 1 : j]
-                        pos = j + 1
-                        break
-            else:
-                raise HistorySyntaxError("unbalanced '('", look, cleaned[look:look + 8], source)
-        steps.append(_build_step(kind, digits, args_text, start, source))
-    prog = HistoryProgram(steps=steps, source_name=source_name, metadata=metadata)
-    _validate_program(prog, source)
-    return prog
-
-
-def _build_step(kind: OpKind, digits: str, args_text, offset: int, source: str) -> Step:
-    declarative = kind in DECLARATIVE_KINDS
-    if declarative and digits:
-        raise HistorySyntaxError("declarative operation takes no subscript", offset, digits, source)
-    if not declarative and not digits:
-        raise HistorySyntaxError("missing transaction subscript", offset, kind.value, source)
-    step = Step(kind=kind, txn=int(digits) if digits else 0)
-    if not declarative and step.txn < 1:
-        raise HistorySyntaxError("transaction subscript must be positive", offset, digits, source)
-
-    if kind in (OpKind.C, OpKind.A):
-        if args_text not in (None, ""):
-            raise HistorySyntaxError("commit/abort takes no arguments", offset, args_text, source)
-        return step
-    if args_text is None:
-        raise HistorySyntaxError("missing argument list", offset, kind.value, source)
-    args = [a.strip() for a in _split_top_level(args_text, ",")]
-
-    if kind is OpKind.PRED:
-        if len(args) != 2:
-            raise HistorySyntaxError("PRED takes (var, expression)", offset, args_text, source)
-        step.pred_var = _var_name(args[0], offset, source)
-        step.predicate = parse_predicate(_strip_quotes(args[1]))
-    elif kind is OpKind.MAP:
-        if len(args) != 2:
-            raise HistorySyntaxError("MAP takes (var, reckey)", offset, args_text, source)
-        step.row_var = _var_name(args[0], offset, source)
-        step.literal = _parse_int(args[1], offset, source)
-    elif kind is OpKind.IL:
-        if len(args) != 1 or args[0].upper() not in IsolationLevel.__members__:
-            raise HistorySyntaxError("IL takes one of RU/RC/RR/SR", offset, args_text, source)
-        step.level = IsolationLevel[args[0].upper()]
-    elif kind in (OpKind.R, OpKind.RW):
-        if len(args) not in (1, 2):
-            raise HistorySyntaxError(f"{kind.value} takes (row[, var])", offset, args_text, source)
-        step.row_var = _var_name(args[0], offset, source)
-        if len(args) == 2:
-            step.value_var = _var_name(args[1], offset, source)
-    elif kind is OpKind.W:
-        if len(args) not in (1, 2):
-            raise HistorySyntaxError("W takes (row[, value])", offset, args_text, source)
-        step.row_var = _var_name(args[0], offset, source)
-        if len(args) == 2:
-            _value_arg(step, args[1], offset, source)
-    elif kind is OpKind.D:
-        if len(args) != 1:
-            raise HistorySyntaxError("D takes (row)", offset, args_text, source)
-        step.row_var = _var_name(args[0], offset, source)
-    elif kind is OpKind.I:
-        _parse_insert_args(step, args, offset, source)
-    elif kind is OpKind.PR:
-        _parse_pr_args(step, args, offset, source)
-    elif kind is OpKind.SU:
-        if len(args) not in (1, 2):
-            raise HistorySyntaxError("SU takes (pred[, delta])", offset, args_text, source)
-        step.pred_var = _var_name(args[0], offset, source)
-        step.literal = _parse_int(args[1], offset, source) if len(args) == 2 else 1
-    elif kind is OpKind.SS:
-        if len(args) not in (1, 2):
-            raise HistorySyntaxError("SS takes (pred[, aggregate])", offset, args_text, source)
-        step.pred_var = _var_name(args[0], offset, source)
-        agg = args[1].replace(" ", "").lower() if len(args) == 2 else "sum(recval)"
-        if agg == "sum(recval)":
-            step.aggregate = "sum"
-        elif agg == "count(*)":
-            step.aggregate = "count"
-        else:
-            raise HistorySyntaxError("SS aggregate must be sum(recval) or count(*)", offset, args[1], source)
-    return step
-
-
-def _parse_insert_args(step: Step, args, offset: int, source: str) -> None:
-    head = [p.strip() for p in args[0].split(";")]
-    step.row_var = _var_name(head[0], offset, source)
-    if len(head) > 1:
-        columns = tuple(head[1:])
-        for col in columns:
-            if col not in _SCHEMA_COLUMN_SET:
-                raise UnknownColumn(col)
-        if len(args) != 2:
-            raise SemanticError("insert with columns requires a value list")
-        values = tuple(_parse_int(v, offset, source) for v in args[1].split(";"))
-        if len(values) != len(columns):
-            raise SemanticError(
-                f"insert column/value lists differ in length ({len(columns)} vs {len(values)})"
-            )
-        step.column_spec = columns
-        step.value_spec = values
-    elif len(args) != 1:
-        raise HistorySyntaxError("bare insert takes only a row variable", offset, ",".join(args), source)
-
-
-def _parse_pr_args(step: Step, args, offset: int, source: str) -> None:
-    fields = [p.strip() for p in args[0].split(";")]
-    if len(fields) < 3:
-        raise HistorySyntaxError("PR takes (pred;columns;limit[;row][, var])", offset, ";".join(fields), source)
-    step.pred_var = _var_name(fields[0], offset, source)
-    limit_idx = None
-    for i, f in enumerate(fields[1:], start=1):
-        if f.lower() == ROW_LIMIT_ALL or re.fullmatch(r"\d+", f):
-            limit_idx = i
-            break
-    if limit_idx is None or limit_idx == 1:
-        raise HistorySyntaxError("PR needs at least one column before the row limit", offset, ";".join(fields), source)
-    columns = [c.replace(" ", "") for c in fields[1:limit_idx]]
-    if columns == ["count(*)"]:
-        step.aggregate = "count"
-    else:
-        for col in columns:
-            if col not in _SCHEMA_COLUMN_SET:
-                raise UnknownColumn(col)
-        step.column_spec = tuple(columns)
-    limit = fields[limit_idx].lower()
-    if limit == ROW_LIMIT_ALL:
-        step.row_limit = ROW_LIMIT_ALL
-    else:
-        step.row_limit = int(limit)
-        if step.row_limit < 1:
-            raise SemanticError("PR row limit must be positive")
-    rest = fields[limit_idx + 1 :]
-    if len(rest) > 1:
-        raise HistorySyntaxError("too many PR fields after row limit", offset, ";".join(rest), source)
-    if rest:
-        step.row_var = _var_name(rest[0], offset, source)
-    if len(args) > 2:
-        raise HistorySyntaxError("too many PR arguments", offset, ",".join(args), source)
-    if len(args) == 2:
-        step.value_var = _var_name(args[1], offset, source)
-
-
-def _validate_program(prog: HistoryProgram, source: str) -> None:
-    first_step_seen = set()
-    terminated = set()
-    txns = set()
-    for step in prog.steps:
+    seen, terminated = set(), set()
+    pos = _SPACE.match(text).end()
+    while pos < len(text):
+        step, pos = _parse_op(text, pos, source)
+        pos = _SPACE.match(text, pos).end()
         if step.txn:
-            txns.add(step.txn)
-            if step.kind is OpKind.IL and step.txn in first_step_seen:
+            if step.kind is OpKind.IL and step.txn in seen:
                 raise SemanticError(
                     f"IL{step.txn} must be the first operation of transaction {step.txn}"
                 )
-            first_step_seen.add(step.txn)
+            seen.add(step.txn)
             if step.kind in (OpKind.C, OpKind.A):
                 terminated.add(step.txn)
-    prog.unterminated = tuple(sorted(txns - terminated))
+        steps.append(step)
+    return HistoryProgram(steps, source_name, metadata, tuple(sorted(seen - terminated)))
+
+
+def _parse_op(text: str, start: int, source: str):
+    """Read the operation at ``text[start]``: its name, subscript and optional
+    argument list.  Returns the step and the offset just past the operation.
+    Error offsets index ``source``, which has the line structure of ``text``."""
+    m = _WORD.match(text, start)
+    if not m:
+        raise HistorySyntaxError("expected operation", start, text[start:start + 1], source)
+    kind = _KIND_NAMES.get(m.group(1).upper())
+    if kind is None:
+        raise HistorySyntaxError("unknown operation", start, m.group(), source)
+    paren = _OPEN.match(text, m.end())
+    args, end = _arguments(text, paren.end() - 1, source) if paren else (None, m.end())
+    return _build_step(kind, m.group(2), args, start, text[start:end], source), end
+
+
+def _build_step(kind: OpKind, digits: str, args, offset: int, token: str, source: str) -> Step:
+    """The step of the operation ``token`` at ``offset``: ``args`` holds its
+    arguments as ``(text, offset)`` pairs, or is None without a list."""
+    declarative = kind in DECLARATIVE_KINDS
+    if declarative and digits:
+        raise HistorySyntaxError("declarative operation takes no subscript", offset, token, source)
+    if not declarative and not digits:
+        raise HistorySyntaxError("missing transaction subscript", offset, token, source)
+    step = Step(kind=kind, txn=int(digits) if digits else 0)
+    if not declarative and step.txn < 1:
+        raise HistorySyntaxError("transaction subscript must be positive", offset, token, source)
+
+    if kind in (OpKind.C, OpKind.A):
+        if args and (len(args) > 1 or args[0][0]):
+            raise HistorySyntaxError("commit/abort takes no arguments", offset, token, source)
+        return step
+    if args is None:
+        raise HistorySyntaxError("missing argument list", offset, token, source)
+    usage, fewest, most = _SIGNATURES[kind]
+    if not fewest <= len(args) <= most:
+        raise HistorySyntaxError(f"{kind.value} takes {usage}", offset, token, source)
+    first = args[0]
+    second = args[1] if len(args) == 2 else None
+
+    if kind is OpKind.PRED:
+        step.pred_var = _var_name(first, source)
+        text, at = second
+        if len(text) >= 2 and text[0] == text[-1] == '"':
+            text, at = text[1:-1], at + 1
+        step.predicate = parse_predicate(text, at, source)
+    elif kind is OpKind.MAP:
+        step.row_var = _var_name(first, source)
+        step.literal = _parse_int(second, source)
+    elif kind is OpKind.IL:
+        level, at = first
+        if level.upper() not in IsolationLevel.__members__:
+            raise HistorySyntaxError("IL takes one of RU/RC/RR/SR", at, level, source)
+        step.level = IsolationLevel[level.upper()]
+    elif kind is OpKind.I:
+        _parse_insert_args(step, first, second, source)
+    elif kind is OpKind.PR:
+        _parse_pr_args(step, first, second, source)
+    elif kind is OpKind.SU:
+        step.pred_var = _var_name(first, source)
+        step.literal = _parse_int(second, source) if second else 1
+    elif kind is OpKind.SS:
+        step.pred_var = _var_name(first, source)
+        aggregate, at = second or ("sum(recval)", offset)
+        step.aggregate = _AGGREGATES.get(aggregate.replace(" ", "").lower())
+        if step.aggregate is None:
+            raise HistorySyntaxError("SS aggregate must be sum(recval) or count(*)", at, aggregate, source)
+    else:  # R, RW, W, D: a row, then a value variable or (W only) an integer
+        step.row_var = _var_name(first, source)
+        if second and kind is OpKind.W and _INT.fullmatch(second[0]):
+            step.literal = int(second[0])
+        elif second:
+            step.value_var = _var_name(second, source)
+    return step
+
+
+def _parse_insert_args(step: Step, first: tuple, second, source: str) -> None:
+    head = _fields(first)
+    step.row_var = _var_name(head[0], source)
+    if len(head) == 1:
+        if second:
+            raise HistorySyntaxError("bare insert takes only a row variable", second[1], second[0], source)
+        return
+    columns = _schema_columns([col for col, _ in head[1:]])
+    if not second:
+        raise SemanticError("insert with columns requires a value list")
+    values = tuple(_parse_int(field, source) for field in _fields(second))
+    if len(values) != len(columns):
+        raise SemanticError(
+            f"insert column/value lists differ in length ({len(columns)} vs {len(values)})"
+        )
+    step.column_spec = columns
+    step.value_spec = values
+
+
+def _parse_pr_args(step: Step, first: tuple, second, source: str) -> None:
+    fields = _fields(first)
+    step.pred_var = _var_name(fields[0], source)
+    # the row limit is the first field after the predicate that reads as one;
+    # taking 1 when there is none rejects both that and an empty column list
+    limit_at = next((i for i in range(1, len(fields))
+                     if fields[i][0].lower() == ROW_LIMIT_ALL or _INT.fullmatch(fields[i][0])), 1)
+    if limit_at == 1:
+        raise HistorySyntaxError(f"PR takes {_SIGNATURES[OpKind.PR][0]}", first[1], first[0], source)
+    columns = [col.replace(" ", "") for col, _ in fields[1:limit_at]]
+    if columns == ["count(*)"]:
+        step.aggregate = "count"
+    else:
+        step.column_spec = _schema_columns(columns)
+    limit = fields[limit_at][0].lower()
+    if limit != ROW_LIMIT_ALL and int(limit) < 1:
+        raise SemanticError("PR row limit must be positive")
+    step.row_limit = limit if limit == ROW_LIMIT_ALL else int(limit)
+    rest = fields[limit_at + 1:]
+    if len(rest) > 1:
+        raise HistorySyntaxError("too many PR fields after row limit", rest[1][1], rest[1][0], source)
+    if rest:
+        step.row_var = _var_name(rest[0], source)
+    if second:
+        step.value_var = _var_name(second, source)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -689,11 +659,9 @@ def parse_record_op(text: str):
         bindings[m.group(1)] = int(m.group(2))
         return m.group(1)
 
-    if text[:4].upper() == "PRED":
-        plain = text  # comparisons inside the predicate are not bindings
-    else:
-        plain = re.sub(r"([A-Za-z][A-Za-z0-9_]*)=(-?\d+)(?=[,;)])", strip_binding, text)
-    prog = parse_history(plain)
-    if len(prog.steps) != 1:
-        raise HistorySyntaxError("expected a single operation", 0, text, text)
-    return prog.steps[0], bindings
+    # comparisons inside a predicate are not bindings
+    plain = text if text[:4].upper() == "PRED" else _BINDING.sub(strip_binding, text)
+    step, end = _parse_op(plain, 0, plain)
+    if end != len(plain):
+        raise HistorySyntaxError("expected a single operation", end, plain[end:], plain)
+    return step, bindings

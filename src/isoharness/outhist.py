@@ -110,6 +110,15 @@ _SIDE_VALUES = operator.itemgetter(*SCHEMA_COLUMNS)
 _SIDE_RE = re.compile(";".join(f"{col}:(-?\\d+)" for col in SCHEMA_COLUMNS))
 
 
+def _number(text: str) -> int:
+    """A number of the file: an optional ``-`` and decimal digits, the integer
+    rule of the history notation.  ``int()`` alone would also take ``+5``,
+    `` 5`` or ``1_0``."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(f"bad number {text!r}")
+    return int(text)
+
+
 def encode_image_side(row: Optional[Row]) -> str:
     if row is None:
         return "ABSENT"
@@ -117,16 +126,15 @@ def encode_image_side(row: Optional[Row]) -> str:
 
 
 def decode_image_side(text: str) -> Optional[Row]:
-    """Inverse of :func:`encode_image_side`.  A number is an optional ``-`` and
-    decimal digits; ``int()`` alone would also take ``+5``, `` 5`` or ``1_0``."""
+    """Inverse of :func:`encode_image_side`."""
     if text == "ABSENT":
         return None
     values = {}
     for part in text.split(";"):
         col, _, num = part.partition(":")
-        if col not in _COLUMNS or not num.removeprefix("-").isdecimal():
+        if col not in _COLUMNS:
             raise ValueError(f"bad image field {part!r}")
-        values[col] = int(num)
+        values[col] = _number(num)
     if len(values) != len(_COLUMNS):
         raise ValueError("incomplete row image")
     return Row(values)
@@ -192,9 +200,9 @@ def decode_values(text: str) -> list:
     out = []
     for part in text.split(","):
         if ":" in part:
-            out.append(tuple(int(x) for x in part.split(":")))
+            out.append(tuple(_number(x) for x in part.split(":")))
         else:
-            out.append(int(part))
+            out.append(_number(part))
     return out
 
 
@@ -276,8 +284,8 @@ def _parse_record_line(line: str, line_no: int) -> OutputRecord:
     if len(parts) < 4:
         raise FormatError("record needs seq, submit_seq, op, status", line_no, line)
     try:
-        seq = int(parts[0])
-        submit_seq = int(parts[1])
+        seq = _number(parts[0])
+        submit_seq = _number(parts[1])
     except ValueError:
         raise FormatError("bad sequence numbers", line_no, line)
     op_text = parts[2]
@@ -286,7 +294,7 @@ def _parse_record_line(line: str, line_no: int) -> OutputRecord:
     txn = int(m.group(1)) if m else 0
     rec = OutputRecord(seq, submit_seq, txn, op_text, STATUS_OK)
     name, _, arg = status_token.partition("=")
-    if name == STATUS_RESUMED and arg.isdigit():
+    if name == STATUS_RESUMED and arg.isdecimal():
         rec.status = STATUS_RESUMED
         rec.resumed_of = int(arg)
     elif name == STATUS_ERROR and arg:
@@ -328,7 +336,7 @@ def parse_output(text: str) -> OutputHistory:
                 elif key == "default-level":
                     h.default_level = value
                 elif key == "rows":
-                    h.rows = int(value)
+                    h.rows = _number(value)
                 elif key == "timeout":
                     h.timeout = float(value)
                 elif key == "ru-writes-allowed":
@@ -358,5 +366,5 @@ def _parse_assignments(value: str) -> dict:
         if not part:
             continue
         txn, _, status = part.partition("=")
-        out[int(txn)] = status
+        out[_number(txn)] = status
     return out

@@ -1,14 +1,15 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
 
 from isoharness.analyzer import analyze_history
 from isoharness.cli import main, run_campaign
-from isoharness.engine import EngineConfig, LockScope
+from isoharness.engine import Engine, EngineConfig, LockScope
 from isoharness.executor import ExecutorConfig
 from isoharness.notation import IsolationLevel as IL
-from isoharness.outhist import parse_output
+from isoharness.outhist import parse_output, serialize
 
 from conftest import fast_config
 
@@ -86,6 +87,34 @@ def test_run_verbose_mirrors_records(tmp_path, capsys):
     assert "W1(A=100,1001) OK" in printed
 
 
+def test_stuck_guard_ends_a_run_whose_request_never_returns(tmp_path, monkeypatch):
+    # no outcome and no lock-table event for 4 x timeout: the monitor gives up
+    timeout = 0.1
+    write_item = Engine.write_item
+
+    def slow_write(self, *args, **kwargs):
+        time.sleep(10 * timeout)
+        return write_item(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "write_item", slow_write)
+    hist = tmp_path / "slow.hist"
+    hist.write_text("IL1(RC) W1(A, 1) C1\n")
+    out = tmp_path / "slow.outhist"
+    assert main(["run", str(hist), "--timeout", str(timeout), "-o", str(out)]) == 2
+    text = out.read_text()
+    assert "# stuck: yes" in text.splitlines()
+    parsed = parse_output(text)
+    assert parsed.header.stuck
+    assert not any(rec.op_text.startswith("W1") for rec in parsed.records)
+    assert serialize(parsed) == text
+
+
+def test_campaign_has_no_verbose_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["campaign", "--verbose"])
+    assert info.value.code == 2
+
+
 def test_histex_timeout_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HISTEX_TIMEOUT", "0.15")
     hist = tmp_path / "t.hist"
@@ -153,6 +182,20 @@ def test_analyze_exits_nonzero_on_findings(tmp_path, capsys):
     assert "totals: CONFORMS=1 OVER_RESTRICTIVE=1" in capsys.readouterr().out
 
 
+def test_analyze_summary_keeps_each_variant(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["campaign", "--classes", "w_pr", "--levels", "RC", "--variants", "insert,delete",
+                 "--timeout", "0.25", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", *map(str, sorted(out.glob("*.outhist")))]) == 0
+    printed = capsys.readouterr().out
+    summary = printed.split("summary (class, variant, L1, L2 -> verdict):\n")[1].split("\n\n")[0]
+    assert summary.splitlines() == [
+        "  w_pr   delete     RC_RC: CONFORMS",
+        "  w_pr   insert     RC_RC: CONFORMS",
+    ]
+
+
 def test_campaign_parallel_matches_serial():
     base = fast_config()
     serial = run_campaign(base, classes=("w_w", "r_w"), levels=(IL.RC, IL.RR))
@@ -167,8 +210,6 @@ def test_campaign_report_determinism():
     a = run_campaign(base, classes=("r_w",), levels=(IL.RC, IL.RR))
     b = run_campaign(base, classes=("r_w",), levels=(IL.RC, IL.RR))
     assert a.machine_lines() == b.machine_lines()
-    from isoharness.outhist import serialize
-
     for key in a.cells:
         assert serialize(a.cells[key].output) == serialize(b.cells[key].output)
 

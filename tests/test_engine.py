@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -533,6 +534,23 @@ def test_set_select_at_sr_leaves_long_predicate_lock():
     assert inserter.still_blocked()
     e.commit(1)
     inserter.outcome()
+
+
+@pytest.mark.parametrize("scope", [LockScope.INCREMENTAL_RANGE, LockScope.TABLE])
+@pytest.mark.parametrize("level, duration, reason", [
+    (IL.RC, LockDuration.SHORT, "OP_END"),
+    (IL.SR, LONG, "TERMINATION"),
+])
+def test_set_select_outside_predicate_scope_locks_the_whole_key_range(scope, level, duration, reason):
+    e = make_engine(scope=scope)
+    e.begin(1, level)
+    assert e.set_select(1, parse_predicate("k2=0"), "count") == 100
+    e.commit(1)
+    whole = RangeResource(0.0, math.inf)
+    assert lock_trace(e) == [
+        ("ACQUIRE", 1, whole, S, duration, ""),
+        ("RELEASE", 1, whole, S, duration, reason),
+    ]
 
 
 # ---------------------------------------------------------- commit/rollback

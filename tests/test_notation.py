@@ -128,6 +128,77 @@ def test_spacing_tolerated_like_printed_examples():
     assert prog.steps[0].predicate == And((Comparison("k2", "=", 1), Comparison("k3", "<", 2)))
 
 
+# Every raise on the parse path, each with the line and column of its fault.
+_MALFORMED = [
+    ("MAP(A, +5)", HistorySyntaxError, 1, 8),  # expected integer
+    ("SU1(P, 1_0)", HistorySyntaxError, 1, 8),
+    ("I1(B;recval, +5)", HistorySyntaxError, 1, 14),
+    ("IL1(RC)\nPRED(P, k2=)", HistorySyntaxError, 2, 12),
+    ("PRED(P, k2=+5)", HistorySyntaxError, 1, 12),  # bad predicate token
+    ("PRED(P, k2=1 & k3=2)", HistorySyntaxError, 1, 14),
+    ('PRED(P, "(k2=1")', HistorySyntaxError, 1, 15),  # expected ')'
+    ("PRED(P, 1=1)", HistorySyntaxError, 1, 9),  # expected column name
+    ("PRED(P, k1=1)", UnknownColumn, None, None),
+    ("PRED(P, k2 1)", HistorySyntaxError, 1, 12),  # expected relational operator
+    ("PRED(P, k2=1 k3)", HistorySyntaxError, 1, 14),  # trailing predicate tokens
+    ("C1 W1(A, 1", HistorySyntaxError, 1, 6),  # unbalanced '('
+    ("R1(1A)", HistorySyntaxError, 1, 4),  # expected variable name
+    ("PRED(P, k2=1)\nW1(A,\n  x y)", HistorySyntaxError, 3, 3),
+    ("I1(B;k1, 5)", UnknownColumn, None, None),
+    ("W1(A) IL1(RC)", SemanticError, None, None),  # IL not first
+    ("C1 123", HistorySyntaxError, 1, 4),  # expected operation
+    ("C1\n  XY2(A)", HistorySyntaxError, 2, 3),  # unknown operation
+    ("MAP1(A, 100)", HistorySyntaxError, 1, 1),  # declarative subscript
+    ("C1 W(A)", HistorySyntaxError, 1, 4),  # missing subscript
+    ("W0(A)", HistorySyntaxError, 1, 1),  # subscript not positive
+    ("C1(A)", HistorySyntaxError, 1, 1),  # commit/abort arguments
+    ("R1 C1", HistorySyntaxError, 1, 1),  # missing argument list
+    ("D1(A, B)", HistorySyntaxError, 1, 1),  # too many arguments
+    ("IL1(XX)", HistorySyntaxError, 1, 5),  # unknown level
+    ("SS1(P, max(recval))", HistorySyntaxError, 1, 8),  # unknown aggregate
+    ("I1(A, 5)", HistorySyntaxError, 1, 7),  # bare insert with values
+    ("I1(B;recval)", SemanticError, None, None),  # columns without values
+    ("I1(B;recval;k2, 5)", SemanticError, None, None),  # lists differ in length
+    ("PR1(P;recval)", HistorySyntaxError, 1, 5),  # no row limit
+    ("PR1(P;recval;0)", SemanticError, None, None),  # row limit not positive
+    ("PR1(P;recval;1;A;B)", HistorySyntaxError, 1, 18),  # fields after the row
+]
+
+
+@pytest.mark.parametrize("text, error, line, column", _MALFORMED)
+def test_malformed_history_rejected_where_it_fails(text, error, line, column):
+    with pytest.raises(error) as info:
+        parse_history(text)
+    assert type(info.value) is error
+    if error is HistorySyntaxError:
+        assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_record_op_must_be_one_operation():
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_record_op("W1(A=100,1)C1")
+    assert info.value.column == 8  # after the bindings are taken out: W1(A,1)C1
+
+
+def test_negative_integers_accepted_everywhere():
+    prog = parse_history(
+        "MAP(A, -5) PRED(P, k2=-5) W1(A, -5) SU1(P, -5) I1(B;recval, -5) PR1(P;recval;all) C1"
+    )
+    mapped, pred, write, update, insert, _, _ = prog.steps
+    assert mapped.literal == write.literal == update.literal == -5
+    assert pred.predicate == Comparison("k2", "=", -5)
+    assert insert.value_spec == (-5,)
+
+
+def test_predicate_errors_placed_in_their_source():
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_predicate("k2=1 or")
+    assert (info.value.line, info.value.column) == (1, 8)
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_predicate("k2 ! 1", offset=6, source="R1(A)\nk2 ! 1")
+    assert (info.value.line, info.value.column, info.value.token) == (2, 4, "!")
+
+
 # --- predicates ---
 
 

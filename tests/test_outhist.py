@@ -96,6 +96,34 @@ def test_resumed_status_roundtrip():
     assert parsed.records[0].resumed_of == 4
 
 
+def test_error_record_roundtrip():
+    rec = OutputRecord(3, 2, 1, "R1(A=100,X)", "ERROR", error_code="RowNotFound")
+    oh = OutputHistory(records=[rec], finals={1: "ACTIVE"})
+    text = serialize(oh)
+    assert "3 2 R1(A=100,X) ERROR=RowNotFound" in text.splitlines()
+    parsed = parse_output(text)
+    assert parsed == oh
+    assert (parsed.records[0].status, parsed.records[0].error_code) == ("ERROR", "RowNotFound")
+
+
+@pytest.mark.parametrize("line", [
+    "+2 2 C1 OK",
+    "2 1_0 C1 OK",
+    "2 2 R1(A=100,X) OK VALUES=+1",
+    "2 2 R1(A=100,X) OK VALUES=1_0",
+    "2 2 PR1(P;reckey;recval;all) OK VALUES=100:+5",
+    "2 2 W2(A=100,2) RESUMED=\u00b2",
+    "# rows: +200",
+    "# final: 1_0=COMMITTED",
+])
+def test_record_number_outside_language_rejected_on_its_line(line):
+    # int() alone accepts each of these numbers
+    text = f"# name: n\n1 1 C1 OK\n{line}\n# final: 1=COMMITTED\n"
+    with pytest.raises(FormatError) as info:
+        parse_output(text)
+    assert info.value.line_no == 3
+
+
 def test_malformed_status_rejected():
     good = serialize(OutputHistory(records=[OutputRecord(1, 1, 1, "C1", "OK")]))
     bad = good.replace(" OK", " SORT_OF_FINE")
