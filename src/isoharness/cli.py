@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analyzer import Judgment, Verdict, analyze_history
+from .analyzer import AnalyzerError, Judgment, Verdict, analyze_history
 from .dataset import build_canonical_table, dump_tsv
 from .engine import EngineConfig, LockScope, Strictness
 from .executor import ExecutorConfig, Mode, run_history
@@ -264,11 +264,11 @@ def cmd_analyze(args) -> int:
         path = Path(name)
         try:
             output = parse_output(path.read_text())
-        except (OSError, FormatError) as exc:
+            judgment = analyze_history(output)
+        except (OSError, FormatError, NotationError, AnalyzerError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             status = 1
             continue
-        judgment = analyze_history(output)
         verdict = judgment.verdict
         counts[verdict.value] += 1
         if verdict is not Verdict.CONFORMS:

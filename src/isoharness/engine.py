@@ -7,6 +7,9 @@ Locking policy, which is the whole point of this module:
   * Item reads take SHORT shared locks at RC and LONG at RR/SR.
   * Predicate reads take a shared lock on the predicate (or on key ranges in
     incremental and table scope) that is SHORT at RC/RR and LONG at SR.
+    Every predicate read (PR rows, PR count(*), SS) is one scan,
+    ``Engine._scan``, that walks the matches once per fetch; SS reads
+    through a cursor of its own that is never stored.
   * RU transactions take no locks at all and are read only; write attempts
     fail unless ``ru_writes_allowed`` is set (that flag exists to reproduce
     permissive behavior observed in real systems).
@@ -332,18 +335,13 @@ class Engine:
 
     # ------------------------------------------------------------- durations
 
-    def _dur(self, duration: LockDuration) -> LockDuration:
-        if self.config.strictness is Strictness.STRICT_ALL_LONG:
-            return LockDuration.LONG
-        return duration
-
-    def _item_read_duration(self, level: IsolationLevel) -> LockDuration:
-        return self._dur(LockDuration.SHORT if level == IsolationLevel.RC else LockDuration.LONG)
-
-    def _pred_read_duration(self, level: IsolationLevel) -> LockDuration:
-        return self._dur(
-            LockDuration.SHORT if level in (IsolationLevel.RC, IsolationLevel.RR) else LockDuration.LONG
-        )
+    def _read_duration(self, level: IsolationLevel, predicate: bool) -> LockDuration:
+        """SHORT for a read at RC, and for a predicate read at RR too; LONG
+        otherwise, and always when strictness makes every lock LONG."""
+        short = level == IsolationLevel.RC or (predicate and level == IsolationLevel.RR)
+        if short and self.config.strictness is Strictness.PER_LEVEL:
+            return LockDuration.SHORT
+        return LockDuration.LONG
 
     # ----------------------------------------------------------------- locks
 
@@ -602,7 +600,7 @@ class Engine:
                 if row.tombstone:
                     raise RowNotFound(f"row {reckey} is deleted (uncommitted)")
                 return row.values[column]
-            duration = self._item_read_duration(st.level)
+            duration = self._read_duration(st.level, predicate=False)
         short: list = []
         try:
             self._read_lock(st, ItemResource(reckey), duration, short)
@@ -746,17 +744,6 @@ class Engine:
 
     # -------------------------------------------------------- predicate ops
 
-    def _open_cursor(self, st: TxnState, pred_var: str) -> CursorState:
-        cursor = st.cursors.get(pred_var)
-        if cursor is not None:
-            return cursor
-        if len(st.cursors) >= MAX_CURSORS_PER_TXN:
-            raise CursorLimitExceeded(
-                f"transaction {st.txn} already has {MAX_CURSORS_PER_TXN} open cursors"
-            )
-        cursor = st.cursors[pred_var] = CursorState()
-        return cursor
-
     def _matches(self, predicate: PredicateExpr, after: int = 0):
         """Keys of the live rows above ``after`` that satisfy the predicate,
         ascending.  Consume under the mutex."""
@@ -780,6 +767,66 @@ class Engine:
             return None
         return RangeResource(cursor.frontier, to_key)
 
+    def _scan(self, txn: int, pred_var: Optional[str], predicate: PredicateExpr,
+              columns: Optional[tuple], row_limit, aggregate: Optional[str]) -> list:
+        """The one predicate read, behind PR and SS: rows, or one aggregate
+        row, from the cursor's position.  Each pass walks the matches once
+        under one mutex hold, leaving it only to wait for the range lock the
+        next key needs; the next pass walks again from the cursor, so a row
+        that changed meanwhile is evaluated again.  An aggregate first locks
+        the rest of the key range."""
+        drain = row_limit == "all"
+        with self._mu:
+            st = self._require_active(txn)
+            cursor = CursorState() if pred_var is None else st.cursors.get(pred_var)
+            if cursor is None:
+                if len(st.cursors) >= MAX_CURSORS_PER_TXN:
+                    raise CursorLimitExceeded(
+                        f"transaction {txn} already has {MAX_CURSORS_PER_TXN} open cursors")
+                cursor = st.cursors[pred_var] = CursorState()
+        duration = self._read_duration(st.level, predicate=True)
+        short: list = []
+        rows: list = []
+        need = None
+        try:
+            # Predicate-scope locking: one shared lock on the predicate itself.
+            if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
+                self._read_lock(st, PredicateResource(predicate), duration, short)
+            while True:
+                with self._mu:
+                    if need is not None:  # the wait is over: the range is held
+                        cursor.frontier = need.high
+                    need = self._scan_lock_plan(st, cursor, _INF) if aggregate else None
+                    if need is None and not (aggregate and cursor.exhausted):
+                        total = 0
+                        for key in self._matches(predicate, 0 if aggregate else cursor.position):
+                            values = self.table.rows[key].values
+                            if aggregate:
+                                total += 1 if aggregate == "count" else values["recval"]
+                                continue
+                            need = self._scan_lock_plan(st, cursor, key)
+                            if need is not None:
+                                break
+                            rows.append((key,) if columns == ("reckey",) else
+                                        (key, *(values[c] for c in columns)))
+                            cursor.position = key
+                            if len(rows) == row_limit:
+                                break
+                        else:
+                            cursor.exhausted = True
+                            if aggregate:
+                                rows.append((total,))
+                            elif drain:
+                                need = self._scan_lock_plan(st, cursor, _INF)
+                    if need is None:
+                        self._stamp(st)
+                        if drain:
+                            st.cursors.pop(pred_var, None)
+                        return rows
+                self._read_lock(st, need, duration, short)
+        finally:
+            self._release_grants(short, "OP_END")
+
     def predicate_read(self, txn: int, pred_var: str, predicate: PredicateExpr,
                        columns: Optional[tuple] = ("recval",), row_limit=1,
                        aggregate: Optional[str] = None):
@@ -789,58 +836,7 @@ class Engine:
         for count(*).  row_limit "all" drains, closes, and frees the cursor; a
         numbered limit leaves the cursor allocated even when exhausted.
         """
-        drain = row_limit == "all"
-        limit = None if drain else int(row_limit)
-        rows: list = []
-        with self._mu:
-            st = self._require_active(txn)
-            cursor = self._open_cursor(st, pred_var)
-        duration = self._pred_read_duration(st.level)
-        short: list = []
-        try:
-            # Predicate-scope locking: one shared lock on the predicate itself.
-            if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
-                self._read_lock(st, PredicateResource(predicate), duration, short)
-            if aggregate:
-                need = self._scan_lock_plan(st, cursor, _INF)
-                if need is not None:
-                    self._read_lock(st, need, duration, short)
-                with self._mu:
-                    cursor.frontier = _INF
-                    if not cursor.exhausted:
-                        rows = [(sum(1 for _ in self._matches(predicate)),)]
-                        cursor.exhausted = True
-            else:
-                while True:
-                    with self._mu:
-                        if limit is not None and len(rows) >= limit:
-                            break
-                        key = next(self._matches(predicate, cursor.position), None)
-                        if key is None:
-                            cursor.exhausted = True
-                            need = self._scan_lock_plan(st, cursor, _INF) if drain else None
-                            if need is None:
-                                break
-                        else:
-                            need = self._scan_lock_plan(st, cursor, key)
-                            if need is None:
-                                row = self.table.rows[key]
-                                out = (key,) if columns == ("reckey",) else (
-                                    (key,) + tuple(row.values[c] for c in columns)
-                                )
-                                rows.append(out)
-                                cursor.position = key
-                                continue
-                    self._read_lock(st, need, duration, short)
-                    with self._mu:
-                        cursor.frontier = max(cursor.frontier, need.high)
-            with self._mu:
-                self._stamp(st)
-                if drain:
-                    st.cursors.pop(pred_var, None)
-            return rows
-        finally:
-            self._release_grants(short, "OP_END")
+        return self._scan(txn, pred_var, predicate, columns, row_limit, aggregate)
 
     def set_update(self, txn: int, predicate: PredicateExpr, delta: int = 1):
         """recval += delta on every matching row; LONG X lock per row.
@@ -867,24 +863,6 @@ class Engine:
         return len(images), images
 
     def set_select(self, txn: int, predicate: PredicateExpr, aggregate: str = "sum") -> int:
-        """sum(recval) or count(*) over the predicate, locking like a full
-        predicate read at the transaction's level (no variable binding)."""
-        with self._mu:
-            st = self._require_active(txn)
-        short: list = []
-        try:
-            if st.level != IsolationLevel.RU:
-                if self.config.lock_scope is LockScope.PREDICATE:
-                    resource = PredicateResource(predicate)
-                else:
-                    resource = RangeResource(0.0, _INF)
-                self._read_lock(st, resource, self._pred_read_duration(st.level), short)
-            with self._mu:
-                self._stamp(st)
-                matches = self._matches(predicate)
-                if aggregate == "count":
-                    return sum(1 for _ in matches)
-                return sum(self.table.rows[key].values["recval"] for key in matches)
-        finally:
-            self._release_grants(short, "OP_END")
-
+        """sum(recval) or count(*) over the predicate: a drain with no
+        variable binding, locking like ``PR(P;count(*);all)``."""
+        return self._scan(txn, None, predicate, None, "all", aggregate)[0][0]

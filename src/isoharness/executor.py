@@ -44,7 +44,6 @@ from .engine import (
     EngineConfig,
     EngineError,
     ReadOnlyViolation,
-    TxnStatus,
     WriteImage,
 )
 from .notation import (
@@ -460,9 +459,7 @@ class Monitor:
         finals: Dict[int, str] = {}
         for txn in sorted(self.levels):
             state = self.engine.txns.get(txn)
-            if txn in self.pending:
-                finals[txn] = TxnStatus.BLOCKED.value
-            elif state is not None:
+            if state is not None:  # BLOCKED only while a request is parked
                 finals[txn] = state.status.value
         self.engine.shutdown()
         for worker in self.workers.values():

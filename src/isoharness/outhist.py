@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .dataset import Row
 from .engine import WriteImage
-from .notation import SCHEMA_COLUMNS
+from .notation import IsolationLevel, SCHEMA_COLUMNS
 
 
 class FormatError(Exception):
@@ -345,6 +345,9 @@ def parse_output(text: str) -> OutputHistory:
                     h.stuck = _BOOL[value]
                 elif key == "levels":
                     h.levels = _parse_assignments(value)
+                    for level in h.levels.values():
+                        if level not in IsolationLevel.__members__:
+                            raise ValueError(f"unknown isolation level {level!r}")
                 elif key == "meta":
                     h.meta = dict(
                         part.split("=", 1) for part in value.split(" ") if part

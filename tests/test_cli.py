@@ -103,6 +103,7 @@ def test_stuck_guard_ends_a_run_whose_request_never_returns(tmp_path, monkeypatc
     assert main(["run", str(hist), "--timeout", str(timeout), "-o", str(out)]) == 2
     text = out.read_text()
     assert "# stuck: yes" in text.splitlines()
+    assert "# final: 1=ACTIVE" in text.splitlines()  # slow, never parked: not BLOCKED
     parsed = parse_output(text)
     assert parsed.header.stuck
     assert not any(rec.op_text.startswith("W1") for rec in parsed.records)
@@ -180,6 +181,26 @@ def test_analyze_exits_nonzero_on_findings(tmp_path, capsys):
     assert main(["analyze", *conforming]) == 0
     assert main(["analyze", *conforming, *map(str, strict.glob("*.outhist"))]) == 1
     assert "totals: CONFORMS=1 OVER_RESTRICTIVE=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("5 5 C1 OK", "5 5 FOO1 OK"),  # a record whose op is not an operation
+    ("# levels: 1=RC 2=RC", "# levels: 1=RC"),  # a transaction with no level
+    ("# levels: 1=RC 2=RC", "# levels: 1=XX 2=RC"),  # not a level name
+])
+def test_analyze_reports_a_bad_file_and_goes_on(tmp_path, capsys, old, new):
+    out = tmp_path / "out"
+    main(["campaign", "--classes", "w_w", "--levels", "RC", "--timeout", "0.25", "--out", str(out)])
+    good = next(out.glob("*.outhist"))
+    text = good.read_text()
+    assert old in text.splitlines()
+    bad = tmp_path / "bad.outhist"
+    bad.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main(["analyze", str(bad), str(good)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"{bad}: ") and len(printed.err.splitlines()) == 1
+    assert "totals: CONFORMS=1" in printed.out
 
 
 def test_analyze_summary_keeps_each_variant(tmp_path, capsys):

@@ -17,6 +17,7 @@ from isoharness.engine import (
     LockDuration,
     LockMode,
     LockScope,
+    PredicateResource,
     RangeResource,
     ReadOnlyViolation,
     RowNotFound,
@@ -446,6 +447,28 @@ def test_incremental_write_inside_frontier_blocks():
     writer.outcome()
 
 
+@pytest.mark.parametrize("row_limit", ["all", 2])
+@pytest.mark.parametrize("t2_commits", [True, False])
+def test_incremental_fetch_waiting_on_an_insert_reads_its_outcome(row_limit, t2_commits):
+    # the fetch waits for (100, 150], then walks again from its cursor at 100
+    e = make_engine(scope=LockScope.INCREMENTAL_RANGE)
+    e.begin(1, IL.SR)
+    e.begin(2, IL.RC)
+    e.insert_item(2, 150, {})  # k2=0 and k3=0, between the matches 100 and 700
+    reader = OpThread(e.predicate_read, 1, "P", parse_predicate("k2=0 and k3=0"),
+                      ("reckey",), row_limit)
+    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert reader.still_blocked()
+    if t2_commits:
+        e.commit(2)
+    else:
+        e.rollback(2)
+    keys = [row[0] for row in reader.outcome()]
+    expected = [100, 150] if t2_commits else [100]
+    expected += range(700, 20000, 600)
+    assert keys == (expected if row_limit == "all" else expected[:2])
+
+
 def test_incremental_without_index_locks_everything():
     e = make_engine(scope=LockScope.TABLE)
     e.begin(1, IL.SR)
@@ -550,6 +573,28 @@ def test_set_select_outside_predicate_scope_locks_the_whole_key_range(scope, lev
     assert lock_trace(e) == [
         ("ACQUIRE", 1, whole, S, duration, ""),
         ("RELEASE", 1, whole, S, duration, reason),
+    ]
+
+
+@pytest.mark.parametrize("scope", list(LockScope))
+@pytest.mark.parametrize("level", [IL.RC, IL.RR, IL.SR])
+def test_set_select_reads_like_a_count_drain(scope, level):
+    # SS(P, count(*)) and PR(P;count(*);all): the same value, the same locks
+    pred = parse_predicate("k2=0")
+    events = []
+    for read in (lambda e: e.set_select(1, pred, "count"),
+                 lambda e: e.predicate_read(1, "P", pred, None, "all", "count")[0][0]):
+        e = make_engine(scope=scope)
+        e.begin(1, level)
+        assert read(e) == 100
+        e.commit(1)
+        events.append(e.lock_events)
+    assert events[0] == events[1]
+    lock = PredicateResource(pred) if scope is LockScope.PREDICATE else RangeResource(0.0, math.inf)
+    duration = LONG if level is IL.SR else LockDuration.SHORT
+    assert lock_trace(e) == [
+        ("ACQUIRE", 1, lock, S, duration, ""),
+        ("RELEASE", 1, lock, S, duration, "TERMINATION" if level is IL.SR else "OP_END"),
     ]
 
 
