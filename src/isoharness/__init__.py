@@ -17,7 +17,7 @@ from .analyzer import (
 )
 from .dataset import CanonicalTable, Row, build_canonical_table, eval_predicate
 from .engine import Engine, EngineConfig, LockScope, Strictness, WriteImage
-from .executor import BindingEnv, ExecutorConfig, Mode, Monitor, run_history
+from .executor import BindingEnv, ExecutorConfig, Monitor, run_history
 from .generator import generate_matrix, ru_scenario
 from .notation import (
     HistoryProgram,

@@ -5,16 +5,11 @@ generate one history per (class, level pair), run each on a fresh engine,
 analyze each output, and report a class-by-level-pair grid.  On the
 reference configuration (per-level strictness) any VIOLATION or
 OVER_RESTRICTIVE cell fails the command.
-
-The HISTEX_TIMEOUT environment variable overrides the default timeout
-(seconds), which only sets the stuck guard.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .analyzer import AnalyzerError, Judgment, Verdict, analyze_history
 from .dataset import build_canonical_table, dump_tsv
 from .engine import EngineConfig, LockScope, Strictness
-from .executor import ExecutorConfig, Mode, run_history
+from .executor import ExecutorConfig, run_history
 from .generator import (
     ALL_CLASSES,
     DEFAULT_VARIANT,
@@ -32,12 +27,8 @@ from .generator import (
     generate_matrix,
     ru_scenario,
 )
-from .notation import HistoryProgram, IsolationLevel, NotationError, parse_history
+from .notation import IsolationLevel, NotationError, parse_history
 from .outhist import FormatError, OutputHistory, parse_output, serialize
-
-
-def _default_timeout() -> float:
-    return float(os.environ.get("HISTEX_TIMEOUT", "2"))
 
 
 _LOCK_SCOPES = {
@@ -48,14 +39,6 @@ _LOCK_SCOPES = {
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=("sync", "async"), default="sync")
-    parser.add_argument(
-        "-c", dest="mode", action="store_const", const="async",
-        help="shorthand for --mode async",
-    )
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="a request running 4x this many seconds ends the run as stuck"
-                             " (default 2 or HISTEX_TIMEOUT)")
     parser.add_argument("--default-level", choices=("RU", "RC", "RR", "SR"), default=None)
     parser.add_argument("--rows", type=int, default=200, help="table size, multiple of 100")
     parser.add_argument("--lock-scope", choices=tuple(_LOCK_SCOPES), default="predicate",
@@ -71,11 +54,8 @@ def _exec_config(args, verbose: bool = False) -> ExecutorConfig:
         strictness=Strictness.PER_LEVEL if args.strictness == "per-level" else Strictness.STRICT_ALL_LONG,
         ru_writes_allowed=args.ru_writes_allowed,
     )
-    timeout = args.timeout if args.timeout is not None else _default_timeout()
     level = IsolationLevel[args.default_level] if args.default_level else None
     return ExecutorConfig(
-        mode=Mode.SYNC if args.mode == "sync" else Mode.ASYNC,
-        timeout=timeout,
         default_level=level,
         rows=args.rows,
         engine=engine,
@@ -161,25 +141,22 @@ def run_campaign(base_config: ExecutorConfig,
                  levels: Optional[Sequence[IsolationLevel]] = None,
                  classes: Optional[Sequence[str]] = None,
                  variants: Sequence[str] = (DEFAULT_VARIANT,),
-                 parallel: int = 1,
                  out_dir: Optional[Path] = None) -> CampaignReport:
     programs = generate_matrix(levels, classes, variants)
     report = CampaignReport(
         config={
-            "mode": base_config.mode.value,
             "lock_scope": base_config.engine.lock_scope.value,
             "strictness": base_config.engine.strictness.value,
             "rows": str(base_config.rows),
-            "timeout": str(base_config.timeout),
         }
     )
 
-    def run_one(prog: HistoryProgram) -> CellResult:
+    for prog in programs:
         output = run_history(prog, base_config)
         judgment = analyze_history(output)
         meta = prog.metadata
         cls = meta.get("class", "?")
-        return CellResult(
+        cell = CellResult(
             cls=cls,
             variant=meta.get("variant", "?"),
             l1=meta.get("l1", "?"),
@@ -189,13 +166,6 @@ def run_campaign(base_config: ExecutorConfig,
             verdict=judgment.verdict,
             output=output,
         )
-
-    if parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(run_one, programs))
-    else:
-        results = [run_one(p) for p in programs]
-    for cell in results:
         report.cells[(cell.cls, cell.variant, cell.l1, cell.l2)] = cell
         report.totals[cell.outcome] += 1
         if out_dir is not None:
@@ -304,7 +274,6 @@ def cmd_campaign(args) -> int:
         levels=levels,
         classes=classes,
         variants=variants,
-        parallel=args.parallel,
         out_dir=Path(args.out) if args.out else None,
     )
     print(report.human_table())
@@ -350,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--classes", default=None)
     p_campaign.add_argument("--levels", default=None)
     p_campaign.add_argument("--variants", default=None)
-    p_campaign.add_argument("--parallel", type=int, default=1)
     p_campaign.add_argument("--out", default=None, help="directory for .outhist files")
     _add_run_options(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)

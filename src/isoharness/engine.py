@@ -8,8 +8,8 @@ Locking policy, which is the whole point of this module:
   * Predicate reads take a shared lock on the predicate (or on key ranges in
     incremental and table scope) that is SHORT at RC/RR and LONG at SR.
     Every predicate read (PR rows, PR count(*), SS) is one scan,
-    ``Engine._scan``, that walks the matches once per fetch; SS reads
-    through a cursor of its own that is never stored.
+    ``Engine._scan``, that walks the matches once per fetch; a count(*)
+    and SS read through a cursor of their own that is never stored.
   * RU transactions take no locks at all and are read only; write attempts
     fail unless ``ru_writes_allowed`` is set (that flag exists to reproduce
     permissive behavior observed in real systems).
@@ -26,31 +26,33 @@ whose first fetch locks the whole key range.
 A lock request and its grant are one record (:class:`LockRequest`): once
 granted, the request itself is held in the lock table.  Every write to an
 existing row (W, RW, D, and each row of a set update) takes one path,
-``Engine._write_row``: the LONG exclusive lock, then, under the mutex, a
-re-check of the row, the before image, the change and its undo entry.
+``Engine._write_row``: the LONG exclusive lock, then a re-check of the
+row, the before image, the change and its undo entry.
 
-Engine calls may block the calling thread until the request is granted or
-the transaction is chosen as a deadlock victim (youngest in the cycle, by
-begin order).  The victim is rolled back by the thread that finds the cycle,
-in the same critical section.  The shared state is guarded by one mutex which
-is never held while waiting.
+The operations that can wait for a lock are generators: ``read_item``,
+``write_item``, ``rw_item``, ``delete_item``, ``insert_item``,
+``predicate_read``, ``set_update`` and ``set_select``.  Each yields the
+:class:`LockRequest` it parks on and returns its result when it ends; the
+caller resumes it once the engine has settled ``LockRequest.outcome``: the
+request was granted, or its transaction was chosen as a deadlock victim
+(youngest in the cycle, by begin order) and rolled back by the operation
+that found the cycle.  A parked operation's frame keeps what a call stack
+would: a set update's position, a scan's cursor and its short grants.  A
+generator closed while parked releases nothing.  ``begin``, ``commit`` and
+``rollback`` never park and are plain calls.
 
-Every effect (begin, op applied, request parked or granted, commit, abort)
-takes the next engine event number under the mutex; ``TxnState.last_event``
-is the latest one of each transaction.  An engine given a ``notify``
-callback posts ``(event, txn, PARK)`` when it parks a lock request and
-``(event, txn, WAKE)`` when it grants a parked request or picks it as a
-deadlock victim, also under the mutex, so posts arrive in engine order.
+Every effect (begin, op applied, request parked or settled, commit, abort)
+takes the next engine event number; ``TxnState.last_event`` is the latest
+one of each transaction.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from .dataset import CanonicalTable, Row, eval_predicate
 from .notation import IsolationLevel, PredicateExpr, SCHEMA_COLUMNS, UnknownColumn
@@ -91,19 +93,9 @@ class InvalidWrite(EngineError):
 
 
 class DeadlockAbort(EngineError):
-    """Raised in the victim's thread after its transaction was rolled back."""
+    """Raised in the victim's operation after its transaction was rolled back."""
 
     code = "Deadlock"
-
-
-class EngineShutdown(EngineError):
-    """Pending request abandoned because the engine is shutting down."""
-
-    code = "Abandoned"
-
-
-PARK = "PARK"
-WAKE = "WAKE"
 
 
 class LockMode(Enum):
@@ -173,7 +165,6 @@ class WriteImage:
 class _Outcome(Enum):
     GRANTED = "GRANTED"
     DEADLOCK = "DEADLOCK"
-    ABANDONED = "ABANDONED"
 
 
 @dataclass
@@ -189,9 +180,7 @@ class LockRequest:
     # granted but the write not yet applied; afterwards the undo log is
     # authoritative.
     intent: Optional[Callable[[], list]] = None
-    # Made only when the request is queued: a lock granted at once has no
-    # waiter to wake, and the grant is held for the rest of the transaction.
-    event: Optional[threading.Event] = None
+    # Set once: granted, or the transaction was picked as a deadlock victim.
     outcome: Optional[_Outcome] = None
 
 
@@ -243,7 +232,7 @@ class LockEvent:
     resource: object
     mode: LockMode
     duration: LockDuration
-    reason: str = ""  # for RELEASE: OP_END | TERMINATION | SHUTDOWN
+    reason: str = ""  # for RELEASE: OP_END | TERMINATION
 
 
 _INF = math.inf
@@ -255,14 +244,11 @@ def _add_to_recval(delta: int) -> Callable[[dict], dict]:
 
 
 class Engine:
-    def __init__(self, table: CanonicalTable, config: Optional[EngineConfig] = None,
-                 notify: Optional[Callable[[tuple], None]] = None):
+    def __init__(self, table: CanonicalTable, config: Optional[EngineConfig] = None):
         self.table = table
         self.config = config or EngineConfig()
-        self._notify = notify
         self.txns: Dict[int, TxnState] = {}
         self.lock_events: List[LockEvent] = []
-        self._mu = threading.Lock()
         # Grants keyed by (txn, resource, mode), in grant order, and again
         # by what can conflict with them: an exclusive grant is an item lock
         # and a row has at most one, so those go by reckey; the shared ones,
@@ -273,44 +259,40 @@ class Engine:
         self._waiters: List[LockRequest] = []
         self._begin_counter = 0
         self._event_counter = 0
-        self._shutdown = False
 
     # ------------------------------------------------------------------ txns
 
     def begin(self, txn: int, level: IsolationLevel) -> TxnState:
-        with self._mu:
-            if txn in self.txns:
-                raise DuplicateTxn(f"transaction {txn} already began")
-            self._begin_counter += 1
-            state = TxnState(txn=txn, level=level, begin_seq=self._begin_counter)
-            self.txns[txn] = state
-            self._stamp(state)
-            return state
+        if txn in self.txns:
+            raise DuplicateTxn(f"transaction {txn} already began")
+        self._begin_counter += 1
+        state = TxnState(txn=txn, level=level, begin_seq=self._begin_counter)
+        self.txns[txn] = state
+        self._stamp(state)
+        return state
 
     def commit(self, txn: int) -> None:
-        with self._mu:
-            st = self._require_active(txn)
-            if st.status is not TxnStatus.ACTIVE:
-                raise UnknownTxn(f"transaction {txn} has a pending operation")
-            for img in st.undo:
-                if img.after is None:  # delete becomes permanent
-                    row = self.table.rows.get(img.reckey)
-                    if row is not None and row.tombstone:
-                        self.table.drop(img.reckey)
-            st.clear_undo()
-            st.cursors.clear()
-            st.status = TxnStatus.COMMITTED
-            self._stamp(st)
-            self._release_all(st, "TERMINATION")
+        st = self._require_active(txn)
+        if st.status is not TxnStatus.ACTIVE:
+            raise UnknownTxn(f"transaction {txn} has a pending operation")
+        for img in st.undo:
+            if img.after is None:  # delete becomes permanent
+                row = self.table.rows.get(img.reckey)
+                if row is not None and row.tombstone:
+                    self.table.drop(img.reckey)
+        st.clear_undo()
+        st.cursors.clear()
+        st.status = TxnStatus.COMMITTED
+        self._stamp(st)
+        self._release_all(st, "TERMINATION")
 
     def rollback(self, txn: int) -> None:
-        with self._mu:
-            st = self._require_active(txn)
-            if st.status is not TxnStatus.ACTIVE:
-                raise UnknownTxn(f"transaction {txn} has a pending operation")
-            self._rollback_locked(st)
+        st = self._require_active(txn)
+        if st.status is not TxnStatus.ACTIVE:
+            raise UnknownTxn(f"transaction {txn} has a pending operation")
+        self._abort(st)
 
-    def _rollback_locked(self, st: TxnState) -> None:
+    def _abort(self, st: TxnState) -> None:
         for img in reversed(st.undo):
             if img.before is None:
                 self.table.drop(img.reckey)
@@ -377,11 +359,6 @@ class Engine:
         st.last_event = self._event_counter
         return self._event_counter
 
-    def _post(self, st: TxnState, what: str) -> None:
-        event = self._stamp(st)
-        if self._notify is not None:
-            self._notify((event, st.txn, what))
-
     def _log(self, txn, action, resource, mode, duration, reason=""):
         self._event_counter += 1
         self.lock_events.append(
@@ -424,7 +401,6 @@ class Engine:
     def _grant_pass(self) -> None:
         """FIFO scan of the wait queue, granting whatever no longer conflicts."""
         remaining = []
-        woke = []
         for req in self._waiters:
             if req.outcome is not None:
                 continue
@@ -435,11 +411,8 @@ class Engine:
             st = self.txns[req.txn]
             if st.status is TxnStatus.BLOCKED:  # parked, not the requester itself
                 st.status = TxnStatus.ACTIVE
-                self._post(st, WAKE)
-            woke.append(req)
+                self._stamp(st)  # settled: the stamp orders its resumption
         self._waiters = remaining
-        for req in woke:
-            req.event.set()
 
     def _release_all(self, st: TxnState, reason: str) -> None:
         kept = {}
@@ -456,17 +429,16 @@ class Engine:
     def _release_grants(self, grants, reason: str) -> None:
         if not grants:
             return
-        with self._mu:
-            for g in grants:
-                key = (g.txn, g.resource, g.mode)
-                if self._grants.get(key) is g:
-                    del self._grants[key]
-                    if g.mode is LockMode.X:
-                        del self._x_grants[g.resource.reckey]
-                    else:
-                        del self._s_grants[key]
-                    self._log(g.txn, "RELEASE", g.resource, g.mode, g.duration, reason)
-            self._grant_pass()
+        for g in grants:
+            key = (g.txn, g.resource, g.mode)
+            if self._grants.get(key) is g:
+                del self._grants[key]
+                if g.mode is LockMode.X:
+                    del self._x_grants[g.resource.reckey]
+                else:
+                    del self._s_grants[key]
+                self._log(g.txn, "RELEASE", g.resource, g.mode, g.duration, reason)
+        self._grant_pass()
 
     def _waits_for_edges(self) -> dict:
         edges: Dict[int, set] = {}
@@ -502,49 +474,44 @@ class Engine:
             doomed = [r for r in self._waiters if r.txn == victim.txn]
             self._waiters = [r for r in self._waiters if r.txn != victim.txn]
             if victim.status is TxnStatus.BLOCKED:
-                self._post(victim, WAKE)
-            self._rollback_locked(victim)
-            for req in doomed:  # woken last: the victim reads no lock state
+                self._stamp(victim)  # settled, like a grant
+            self._abort(victim)
+            for req in doomed:
                 req.outcome = _Outcome.DEADLOCK
-                req.event.set()
 
     def _acquire(self, st: TxnState, resource, mode: LockMode, duration: LockDuration,
-                 intent: Optional[Callable[[], list]] = None) -> Tuple[LockRequest, bool]:
-        """Acquire a lock, blocking as needed.
+                 intent: Optional[Callable[[], list]] = None,
+                 ) -> Generator[LockRequest, None, Tuple[LockRequest, bool]]:
+        """Acquire a lock, parking as needed: yields the queued request until
+        its outcome is settled.
 
         Returns (grant, fresh): ``fresh`` is False when an identical grant was
         already held (nothing to release at op end).  Raises
         :class:`DeadlockAbort` if the transaction was picked as a deadlock
         victim, by then already rolled back.
         """
-        with self._mu:
-            if self._shutdown:
-                raise EngineShutdown("engine is shut down")
-            held = self._grants.get((st.txn, resource, mode))
-            if held is not None:
-                if intent is not None:
-                    held.intent = intent
-                return held, False
-            req = LockRequest(st.txn, resource, mode, duration, intent)
-            if not self._blockers(req, self._waiters):
-                return self._grant_now(req), True
-            req.event = threading.Event()
-            self._waiters.append(req)
-            self._resolve_deadlocks(req)
-            if req.outcome is None:
-                st.status = TxnStatus.BLOCKED
-                self._post(st, PARK)
-        req.event.wait()
-        if req.outcome is _Outcome.GRANTED:
-            return req, True
+        held = self._grants.get((st.txn, resource, mode))
+        if held is not None:
+            if intent is not None:
+                held.intent = intent
+            return held, False
+        req = LockRequest(st.txn, resource, mode, duration, intent)
+        if not self._blockers(req, self._waiters):
+            return self._grant_now(req), True
+        self._waiters.append(req)
+        self._resolve_deadlocks(req)
+        if req.outcome is None:
+            st.status = TxnStatus.BLOCKED
+            self._stamp(st)  # parked: the stamp orders its BLOCKED record
+            yield req
         if req.outcome is _Outcome.DEADLOCK:
             raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
-        raise EngineShutdown("pending lock request abandoned")
+        return req, True
 
-    def _read_lock(self, st: TxnState, resource, duration: LockDuration, short: list) -> None:
+    def _read_lock(self, st: TxnState, resource, duration: LockDuration, short: list):
         """Acquire a shared lock; a fresh SHORT one is added to ``short``, the
         grants the operation releases when it ends."""
-        grant, fresh = self._acquire(st, resource, LockMode.S, duration)
+        grant, fresh = yield from self._acquire(st, resource, LockMode.S, duration)
         if fresh and grant.duration is LockDuration.SHORT:
             short.append(grant)
 
@@ -552,24 +519,13 @@ class Engine:
 
     def request_state(self, txn: int) -> Optional[str]:
         """'WAITING' while the transaction has a pending lock request."""
-        with self._mu:
-            for req in self._waiters:
-                if req.txn == txn and req.outcome is None:
-                    return "WAITING"
-            return None
+        for req in self._waiters:
+            if req.txn == txn and req.outcome is None:
+                return "WAITING"
+        return None
 
     def held_locks(self, txn: int) -> list:
-        with self._mu:
-            return [g for g in self._grants.values() if g.txn == txn]
-
-    def shutdown(self) -> None:
-        with self._mu:
-            self._shutdown = True
-            for req in self._waiters:
-                if req.outcome is None:
-                    req.outcome = _Outcome.ABANDONED
-                    req.event.set()
-            self._waiters = []
+        return [g for g in self._grants.values() if g.txn == txn]
 
     # ------------------------------------------------------------- item ops
 
@@ -590,31 +546,34 @@ class Engine:
         images = st.undo_by_key.get(reckey)
         return images is not None and images[-1].after is None
 
-    def read_item(self, txn: int, reckey: int, column: str = "recval") -> int:
+    def read_item(self, txn: int, reckey: int,
+                  column: str = "recval") -> Generator[LockRequest, None, int]:
         if column not in SCHEMA_COLUMNS:
             raise UnknownColumn(column)
-        with self._mu:
-            st = self._require_active(txn)
-            row = self._visible_row(st, reckey)
-            if st.level == IsolationLevel.RU:
-                if row.tombstone:
-                    raise RowNotFound(f"row {reckey} is deleted (uncommitted)")
-                return row.values[column]
-            duration = self._read_duration(st.level, predicate=False)
+        st = self._require_active(txn)
+        row = self._visible_row(st, reckey)
+        if st.level == IsolationLevel.RU:
+            if row.tombstone:
+                raise RowNotFound(f"row {reckey} is deleted (uncommitted)")
+            return row.values[column]
         short: list = []
         try:
-            self._read_lock(st, ItemResource(reckey), duration, short)
-            with self._mu:
-                self._stamp(st)
-                row = self.table.rows.get(reckey)
-                if row is None or row.tombstone:
-                    raise RowNotFound(f"no row with reckey {reckey}")
-                return row.values[column]
+            yield from self._read_lock(st, ItemResource(reckey),
+                                       self._read_duration(st.level, predicate=False), short)
+            self._stamp(st)
+            row = self.table.rows.get(reckey)
+            if row is None or row.tombstone:
+                raise RowNotFound(f"no row with reckey {reckey}")
+            return row.values[column]
+        except GeneratorExit:  # closed while parked: the run is over, release nothing
+            short.clear()
+            raise
         finally:
             self._release_grants(short, "OP_END")
 
     def _write_row(self, st: TxnState, reckey: int, after_of: Callable[[dict], Optional[dict]],
-                   predicate: Optional[PredicateExpr] = None) -> Optional[WriteImage]:
+                   predicate: Optional[PredicateExpr] = None,
+                   ) -> Generator[LockRequest, None, Optional[WriteImage]]:
         """The one write path for existing rows: take the LONG exclusive lock,
         then, if the row is still there and still satisfies ``predicate``,
         apply ``after_of`` and log the undo image.  ``after_of`` maps the
@@ -628,50 +587,51 @@ class Engine:
             after = after_of(row.values)
             return [row.values] if after is None else [row.values, after]
 
-        grant, _ = self._acquire(st, ItemResource(reckey), LockMode.X, LockDuration.LONG, intent)
-        with self._mu:
-            self._stamp(st)
-            grant.intent = None
-            row = self.table.rows.get(reckey)
-            if row is None or row.tombstone or (
-                predicate is not None and not eval_predicate(row, predicate)
-            ):
-                return None
-            before = row.copy()
-            after = after_of(row.values)
-            if after is None:
-                row.tombstone = True
-            else:
-                row.values.update(after)
-            image = WriteImage(reckey, before, None if after is None else Row(after))
-            st.log_undo(image)
-            return image
+        grant, _ = yield from self._acquire(st, ItemResource(reckey), LockMode.X,
+                                            LockDuration.LONG, intent)
+        self._stamp(st)
+        grant.intent = None
+        row = self.table.rows.get(reckey)
+        if row is None or row.tombstone or (
+            predicate is not None and not eval_predicate(row, predicate)
+        ):
+            return None
+        before = row.copy()
+        after = after_of(row.values)
+        if after is None:
+            row.tombstone = True
+        else:
+            row.values.update(after)
+        image = WriteImage(reckey, before, None if after is None else Row(after))
+        st.log_undo(image)
+        return image
 
-    def _write_item(self, txn: int, reckey: int, after_of: Callable[[dict], Optional[dict]]) -> WriteImage:
+    def _write_item(self, txn: int, reckey: int, after_of: Callable[[dict], Optional[dict]],
+                    ) -> Generator[LockRequest, None, WriteImage]:
         """An item write (W, RW, D) through :meth:`_write_row`."""
-        with self._mu:
-            st = self._require_active(txn)
-            self._check_writable(st)
-            self._visible_row(st, reckey)
-        image = self._write_row(st, reckey, after_of)
+        st = self._require_active(txn)
+        self._check_writable(st)
+        self._visible_row(st, reckey)
+        image = yield from self._write_row(st, reckey, after_of)
         if image is None:
             raise RowNotFound(f"no row with reckey {reckey}")
         return image
 
-    def write_item(self, txn: int, reckey: int, column_values: Optional[dict] = None) -> WriteImage:
+    def write_item(self, txn: int, reckey: int, column_values: Optional[dict] = None,
+                   ) -> Generator[LockRequest, None, WriteImage]:
         """Update a row; ``column_values`` None means the default recval += 1."""
         if column_values is None:
-            return self._write_item(txn, reckey, _add_to_recval(1))
+            return (yield from self._write_item(txn, reckey, _add_to_recval(1)))
         for col in column_values:
             if col not in SCHEMA_COLUMNS:
                 raise UnknownColumn(col)
         if "reckey" in column_values:
             raise InvalidWrite("primary key cannot be updated")
-        return self._write_item(txn, reckey, lambda values: {**values, **column_values})
+        return (yield from self._write_item(txn, reckey, lambda values: {**values, **column_values}))
 
-    def rw_item(self, txn: int, reckey: int) -> Tuple[int, WriteImage]:
+    def rw_item(self, txn: int, reckey: int) -> Generator[LockRequest, None, Tuple[int, WriteImage]]:
         """Indivisible read-then-increment of recval; returns the value read."""
-        image = self._write_item(txn, reckey, _add_to_recval(1))
+        image = yield from self._write_item(txn, reckey, _add_to_recval(1))
         return image.before.values["recval"], image
 
     def _default_insert_values(self, reckey: int) -> dict:
@@ -688,8 +648,8 @@ class Engine:
                 return key
             j += 1
 
-    def insert_item(self, txn: int, reckey: Optional[int] = None,
-                    column_values: Optional[dict] = None) -> Tuple[int, WriteImage]:
+    def insert_item(self, txn: int, reckey: Optional[int] = None, column_values: Optional[dict] = None,
+                    ) -> Generator[LockRequest, None, Tuple[int, WriteImage]]:
         """Insert a row; reckey None allocates the lowest free 100j+50 key.
 
         Unspecified columns default to recval = reckey*100 and 0 elsewhere.
@@ -699,54 +659,52 @@ class Engine:
             if col not in SCHEMA_COLUMNS:
                 raise UnknownColumn(col)
         explicit_key = reckey if reckey is not None else column_values.get("reckey")
-        with self._mu:
-            st = self._require_active(txn)
-            self._check_writable(st)
-            if explicit_key is None:
-                key = self._allocate_reckey()
-            else:
-                key = int(explicit_key)
-                if key < 1:
-                    raise InvalidWrite("reckey must be positive")
-            column_values["reckey"] = key
-            values = self._default_insert_values(key)
-            values.update(column_values)
-            existing = self.table.rows.get(key)
-            reserve_now = existing is None
-            if reserve_now:
-                # Reserve the key as an invisible row so concurrent inserts
-                # allocate elsewhere; visible once the lock is held.
-                row = Row(values, tombstone=True)
-                self.table.put(key, row)
-                image = WriteImage(key, None, Row(dict(values)))
-                st.log_undo(image)
-        grant, _ = self._acquire(
+        st = self._require_active(txn)
+        self._check_writable(st)
+        if explicit_key is None:
+            key = self._allocate_reckey()
+        else:
+            key = int(explicit_key)
+            if key < 1:
+                raise InvalidWrite("reckey must be positive")
+        column_values["reckey"] = key
+        values = self._default_insert_values(key)
+        values.update(column_values)
+        existing = self.table.rows.get(key)
+        reserve_now = existing is None
+        if reserve_now:
+            # Reserve the key as an invisible row so concurrent inserts
+            # allocate elsewhere; visible once the lock is held.
+            row = Row(values, tombstone=True)
+            self.table.put(key, row)
+            image = WriteImage(key, None, Row(dict(values)))
+            st.log_undo(image)
+        grant, _ = yield from self._acquire(
             st, ItemResource(key), LockMode.X, LockDuration.LONG,
             intent=(lambda: [values]) if not reserve_now else None,
         )
-        with self._mu:
-            self._stamp(st)
-            grant.intent = None
-            if reserve_now:
-                self.table.rows[key].tombstone = False
-                return key, image
-            existing = self.table.rows.get(key)
-            if existing is not None and not existing.tombstone:
-                raise DuplicateKey(f"reckey {key} already present")
-            row = Row(dict(values))
-            self.table.put(key, row)
-            image = WriteImage(key, None, row.copy())
-            st.log_undo(image)
+        self._stamp(st)
+        grant.intent = None
+        if reserve_now:
+            self.table.rows[key].tombstone = False
             return key, image
+        existing = self.table.rows.get(key)
+        if existing is not None and not existing.tombstone:
+            raise DuplicateKey(f"reckey {key} already present")
+        row = Row(dict(values))
+        self.table.put(key, row)
+        image = WriteImage(key, None, row.copy())
+        st.log_undo(image)
+        return key, image
 
-    def delete_item(self, txn: int, reckey: int) -> WriteImage:
-        return self._write_item(txn, reckey, lambda values: None)
+    def delete_item(self, txn: int, reckey: int) -> Generator[LockRequest, None, WriteImage]:
+        return (yield from self._write_item(txn, reckey, lambda values: None))
 
     # -------------------------------------------------------- predicate ops
 
     def _matches(self, predicate: PredicateExpr, after: int = 0):
         """Keys of the live rows above ``after`` that satisfy the predicate,
-        ascending.  Consume under the mutex."""
+        ascending.  Consume before the operation parks again."""
         keys, rows = self.table.keys, self.table.rows
         for i in range(bisect_right(keys, after), len(keys)):
             key = keys[i]
@@ -768,22 +726,23 @@ class Engine:
         return RangeResource(cursor.frontier, to_key)
 
     def _scan(self, txn: int, pred_var: Optional[str], predicate: PredicateExpr,
-              columns: Optional[tuple], row_limit, aggregate: Optional[str]) -> list:
+              columns: Optional[tuple], row_limit, aggregate: Optional[str],
+              ) -> Generator[LockRequest, None, list]:
         """The one predicate read, behind PR and SS: rows, or one aggregate
-        row, from the cursor's position.  Each pass walks the matches once
-        under one mutex hold, leaving it only to wait for the range lock the
-        next key needs; the next pass walks again from the cursor, so a row
-        that changed meanwhile is evaluated again.  An aggregate first locks
-        the rest of the key range."""
+        row, from the cursor's position; with no ``pred_var``, from a cursor
+        of its own that is never stored.  Each pass walks the matches once,
+        stopping only to wait for the range lock the next key needs; the next
+        pass walks again from the cursor, so a row that changed meanwhile is
+        evaluated again.  An aggregate first locks the rest of the key
+        range."""
         drain = row_limit == "all"
-        with self._mu:
-            st = self._require_active(txn)
-            cursor = CursorState() if pred_var is None else st.cursors.get(pred_var)
-            if cursor is None:
-                if len(st.cursors) >= MAX_CURSORS_PER_TXN:
-                    raise CursorLimitExceeded(
-                        f"transaction {txn} already has {MAX_CURSORS_PER_TXN} open cursors")
-                cursor = st.cursors[pred_var] = CursorState()
+        st = self._require_active(txn)
+        cursor = CursorState() if pred_var is None else st.cursors.get(pred_var)
+        if cursor is None:
+            if len(st.cursors) >= MAX_CURSORS_PER_TXN:
+                raise CursorLimitExceeded(
+                    f"transaction {txn} already has {MAX_CURSORS_PER_TXN} open cursors")
+            cursor = st.cursors[pred_var] = CursorState()
         duration = self._read_duration(st.level, predicate=True)
         short: list = []
         rows: list = []
@@ -791,78 +750,84 @@ class Engine:
         try:
             # Predicate-scope locking: one shared lock on the predicate itself.
             if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
-                self._read_lock(st, PredicateResource(predicate), duration, short)
+                yield from self._read_lock(st, PredicateResource(predicate), duration, short)
             while True:
-                with self._mu:
-                    if need is not None:  # the wait is over: the range is held
-                        cursor.frontier = need.high
-                    need = self._scan_lock_plan(st, cursor, _INF) if aggregate else None
-                    if need is None and not (aggregate and cursor.exhausted):
-                        total = 0
-                        for key in self._matches(predicate, 0 if aggregate else cursor.position):
-                            values = self.table.rows[key].values
-                            if aggregate:
-                                total += 1 if aggregate == "count" else values["recval"]
-                                continue
-                            need = self._scan_lock_plan(st, cursor, key)
-                            if need is not None:
-                                break
-                            rows.append((key,) if columns == ("reckey",) else
-                                        (key, *(values[c] for c in columns)))
-                            cursor.position = key
-                            if len(rows) == row_limit:
-                                break
-                        else:
-                            cursor.exhausted = True
-                            if aggregate:
-                                rows.append((total,))
-                            elif drain:
-                                need = self._scan_lock_plan(st, cursor, _INF)
-                    if need is None:
-                        self._stamp(st)
-                        if drain:
-                            st.cursors.pop(pred_var, None)
-                        return rows
-                self._read_lock(st, need, duration, short)
+                if need is not None:  # the wait is over: the range is held
+                    cursor.frontier = need.high
+                need = self._scan_lock_plan(st, cursor, _INF) if aggregate else None
+                if need is None:
+                    total = 0
+                    for key in self._matches(predicate, 0 if aggregate else cursor.position):
+                        values = self.table.rows[key].values
+                        if aggregate:
+                            total += 1 if aggregate == "count" else values["recval"]
+                            continue
+                        need = self._scan_lock_plan(st, cursor, key)
+                        if need is not None:
+                            break
+                        rows.append((key,) if columns == ("reckey",) else
+                                    (key, *(values[c] for c in columns)))
+                        cursor.position = key
+                        if len(rows) == row_limit:
+                            break
+                    else:
+                        cursor.exhausted = True
+                        if aggregate:
+                            rows.append((total,))
+                        elif drain:
+                            need = self._scan_lock_plan(st, cursor, _INF)
+                if need is None:
+                    self._stamp(st)
+                    if drain:
+                        st.cursors.pop(pred_var, None)
+                    return rows
+                yield from self._read_lock(st, need, duration, short)
+        except GeneratorExit:  # closed while parked: the run is over, release nothing
+            short.clear()
+            raise
         finally:
             self._release_grants(short, "OP_END")
 
     def predicate_read(self, txn: int, pred_var: str, predicate: PredicateExpr,
                        columns: Optional[tuple] = ("recval",), row_limit=1,
-                       aggregate: Optional[str] = None):
+                       aggregate: Optional[str] = None) -> Generator[LockRequest, None, list]:
         """Open-or-continue a cursor over the predicate and fetch rows.
 
         Returns the rows: (reckey, col...) tuples, or a single (count,) tuple
         for count(*).  row_limit "all" drains, closes, and frees the cursor; a
-        numbered limit leaves the cursor allocated even when exhausted.
+        numbered limit leaves the cursor allocated even when exhausted.  A
+        count(*) reads the whole predicate, like ``SS``, and neither reads
+        nor moves the variable's cursor.
         """
-        return self._scan(txn, pred_var, predicate, columns, row_limit, aggregate)
+        return (yield from self._scan(txn, None if aggregate else pred_var, predicate,
+                                      columns, row_limit, aggregate))
 
-    def set_update(self, txn: int, predicate: PredicateExpr, delta: int = 1):
+    def set_update(self, txn: int, predicate: PredicateExpr,
+                   delta: int = 1) -> Generator[LockRequest, None, Tuple[int, List[WriteImage]]]:
         """recval += delta on every matching row; LONG X lock per row.
 
-        Rows are visited in ascending reckey order, blocking at the first
+        Rows are visited in ascending reckey order, parking at the first
         conflict; matching is evaluated on current values at visit time.
         """
-        with self._mu:
-            st = self._require_active(txn)
-            self._check_writable(st)
+        st = self._require_active(txn)
+        self._check_writable(st)
         after_of = _add_to_recval(delta)
         images: List[WriteImage] = []
         position = 0
         while True:
-            with self._mu:
-                key = next(self._matches(predicate, position), None)
-                if key is None:
-                    self._stamp(st)
-                    break
+            key = next(self._matches(predicate, position), None)
+            if key is None:
+                self._stamp(st)
+                break
             position = key
-            image = self._write_row(st, key, after_of, predicate)
+            image = yield from self._write_row(st, key, after_of, predicate)
             if image is not None:
                 images.append(image)
         return len(images), images
 
-    def set_select(self, txn: int, predicate: PredicateExpr, aggregate: str = "sum") -> int:
+    def set_select(self, txn: int, predicate: PredicateExpr,
+                   aggregate: str = "sum") -> Generator[LockRequest, None, int]:
         """sum(recval) or count(*) over the predicate: a drain with no
         variable binding, locking like ``PR(P;count(*);all)``."""
-        return self._scan(txn, None, predicate, None, "all", aggregate)[0][0]
+        rows = yield from self._scan(txn, None, predicate, None, "all", aggregate)
+        return rows[0][0]

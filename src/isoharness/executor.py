@@ -1,48 +1,39 @@
-"""Monitor and per-transaction workers.
+"""The monitor: runs a history's steps against the engine on one thread.
 
 The monitor owns variable bindings and turns each step into a request: a
-function of ``(engine, txn)`` that makes the step's engine call and returns
-the record's ``(values, images)``.  It sends each request to one worker
-thread per transaction, which runs it (possibly blocking inside the engine)
-through :func:`handle_frame` and posts the outcome back: the
-``(values, images)`` pair, or the code of the engine error the request
-raised.  Records keep the engine's own :class:`engine.WriteImage` objects,
-which :func:`outhist.serialize` encodes.  The monitor never touches table or
-lock state but through the engine calls its requests make.
+function of ``(engine, txn)`` that :func:`handle_frame` starts.  The request
+is a generator that makes the step's engine call, yields each lock request
+the call parks on, and returns the record's ``(values, images)``; the code
+of an engine error it raises becomes the record's status.  Records keep the
+engine's own :class:`engine.WriteImage` objects, which
+:func:`outhist.serialize` encodes.  The monitor never touches table or lock
+state but through the engine calls its requests make.
 
-Everything the monitor waits for arrives on one inbox: each worker outcome
-with the engine event number of the request's last effect, and the engine's
-PARK and WAKE posts for lock requests.  One loop serves both modes.  It
-submits steps, waits until no submitted request is running (each has
-completed or is parked in the lock table), then records what completed or
-parked in engine event order.  So BLOCKED means "parked in the lock table",
-and the output history is the engine's own order.
-
-The mode decides only how far submission runs before the loop waits.
-Synchronous mode submits one step; the steps of a transaction whose request
-is parked are set aside until it completes, while steps of other
-transactions continue.  Asynchronous mode submits steps in program order up
-to the first step of a transaction with an outstanding request.
+Steps run one at a time, in program order, each until its request completes
+or parks in the lock table.  The steps of a transaction whose request is
+parked are set aside until it completes; steps of other transactions go on.
+After each step the monitor resumes every parked request the engine has
+settled (granted, or its transaction picked as a deadlock victim), earliest
+settlement first, until none is left, then records what completed or parked
+in engine event order.  So BLOCKED means "parked in the lock table", the
+output history is the engine's own order, and a run writes the same records
+every time.  A run is stuck when only steps of parked transactions remain.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import traceback
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from . import outhist
 from .dataset import build_canonical_table
 from .engine import (
-    PARK,
-    WAKE,
     DeadlockAbort,
     Engine,
     EngineConfig,
     EngineError,
+    LockRequest,
     ReadOnlyViolation,
     WriteImage,
 )
@@ -67,17 +58,8 @@ from .outhist import (
 )
 
 
-class Mode(Enum):
-    SYNC = "SYNC"
-    ASYNC = "ASYNC"
-
-
 @dataclass
 class ExecutorConfig:
-    mode: Mode = Mode.SYNC
-    # Sets only the stuck guard: a request running 4 * timeout without any
-    # word from the workers or the engine ends the run as stuck.
-    timeout: float = 2.0
     # None: honor the program's default_level metadata, falling back to RC.
     default_level: Optional[IsolationLevel] = None
     rows: int = 200
@@ -97,71 +79,53 @@ class BindingEnv:
 if TYPE_CHECKING:
     # Only for type checkers: typing caches subscripted generics, so at run
     # time the alias would keep the Engine class of every import alive.
-    #: A step's engine call: ``request(engine, txn)`` returns the record's
-    #: (values, images).
-    Request = Callable[[Engine, int], Tuple[Optional[list], List[WriteImage]]]
+    #: A started request: yields each lock request it parks on and returns
+    #: the record's (values, images).
+    Frame = Generator[LockRequest, None, Tuple[Optional[list], List[WriteImage]]]
+    #: A step's engine call: ``request(engine, txn)`` starts it.
+    Request = Callable[[Engine, int], Frame]
 
 
-def _begin(level: IsolationLevel) -> Request:
+def _plain(call: Callable[[Engine, int], object]) -> Request:
+    """A request for an engine call that never parks: begin, commit, rollback."""
     def request(engine: Engine, txn: int):
-        engine.begin(txn, level)
+        call(engine, txn)
         return None, []
+        yield  # a generator like every request
+
     return request
 
 
-def _commit(engine: Engine, txn: int):
-    engine.commit(txn)
-    return None, []
+def _parking(call: Callable[[Engine, int], Generator], shape: Callable) -> Request:
+    """A request for an engine operation that can park; ``shape`` turns the
+    operation's result into the record's (values, images)."""
+    def request(engine: Engine, txn: int):
+        return shape((yield from call(engine, txn)))
+
+    return request
 
 
-def _rollback(engine: Engine, txn: int):
-    engine.rollback(txn)
-    return None, []
+def _begin(level: IsolationLevel) -> Request:
+    return _plain(lambda engine, txn: engine.begin(txn, level))
 
 
-def _value_and_image(value, image: WriteImage):
+_commit = _plain(lambda engine, txn: engine.commit(txn))
+_rollback = _plain(lambda engine, txn: engine.rollback(txn))
+
+
+def _image(image: WriteImage):
+    return None, [image]
+
+
+def _value_and_image(result):
+    value, image = result
     return [value], [image]
 
 
-def handle_frame(engine: Engine, txn: int, request: Request):
-    """Run one request against the engine: the worker body, which may block
-    inside the engine.  Engine errors propagate to the caller."""
+def handle_frame(engine: Engine, txn: int, request: Request) -> Frame:
+    """Start one request against the engine; the monitor steps the generator
+    it returns, and engine errors propagate out of those steps."""
     return request(engine, txn)
-
-
-class Worker:
-    """One long-lived thread per transaction, running the monitor's requests.
-
-    Each outcome is posted to ``responses``, shared by all workers of a run,
-    as ``(event, txn, outcome)``: ``event`` is the engine event number of the
-    request's last effect, and ``outcome`` the request's (values, images) or
-    the code of the error it raised.  A None request ends the thread.
-    """
-
-    def __init__(self, txn: int, engine: Engine, responses: "queue.SimpleQueue[tuple]"):
-        self.txn = txn
-        self.engine = engine
-        self.requests: "queue.SimpleQueue[Optional[Request]]" = queue.SimpleQueue()
-        self.responses = responses
-        self.thread = threading.Thread(target=self._run, daemon=True, name=f"txn-worker-{txn}")
-        self.thread.start()
-
-    def send(self, request: Optional[Request]) -> None:
-        self.requests.put(request)
-
-    def _run(self) -> None:
-        while (request := self.requests.get()) is not None:
-            try:
-                outcome = handle_frame(self.engine, self.txn, request)
-            except EngineError as exc:
-                outcome = exc.code
-            except Exception:  # keep the channel alive no matter what
-                traceback.print_exc()
-                outcome = "InternalError"
-            # Other threads stamp this transaction only while it has a parked
-            # request, so once the request returns the number read is final.
-            state = self.engine.txns.get(self.txn)
-            self.responses.put((state.last_event if state else 0, self.txn, outcome))
 
 
 # ----------------------------------------------------------------- monitor
@@ -180,16 +144,13 @@ class Monitor:
         self.prog = prog
         self.config = config or ExecutorConfig()
         self.table = build_canonical_table(self.config.rows)
-        # The engine's callback holds only the inbox, not the monitor.
-        self.inbox: "queue.SimpleQueue[tuple]" = queue.SimpleQueue()
-        self.engine = Engine(self.table, self.config.engine, notify=self.inbox.put)
+        self.engine = Engine(self.table, self.config.engine)
         self.env = BindingEnv()
-        self.workers: Dict[int, Worker] = {}
         self.levels: Dict[int, IsolationLevel] = {}
         self.records: List[OutputRecord] = []
-        # txn -> its outstanding request; None for an implicit BEGIN
-        self.pending: Dict[int, Optional[_Pending]] = {}
-        self.running: set = set()  # pending transactions not parked
+        # txn -> (its started request, the lock request it is parked on, its
+        # pending step: None for an implicit BEGIN)
+        self.parked: Dict[int, Tuple[Frame, LockRequest, Optional[_Pending]]] = {}
         self.deferred: Dict[int, List[Step]] = {}
         self.stuck = False
         self._submit_seq = 0
@@ -212,14 +173,6 @@ class Monitor:
         if self.config.verbose:
             print(outhist._record_line(rec))
         return rec
-
-    def _send(self, txn: int, request: Request, pend: Optional[_Pending]) -> None:
-        worker = self.workers.get(txn)
-        if worker is None:
-            worker = self.workers[txn] = Worker(txn, self.engine, self.inbox)
-        worker.send(request)
-        self.pending[txn] = pend
-        self.running.add(txn)
 
     # ------------------------------------------------------------- bindings
 
@@ -258,7 +211,8 @@ class Monitor:
                     f"row variable {step.row_var} is already bound; inserts bind fresh rows",
                 )
             values = dict(zip(step.column_spec, step.value_spec)) if step.column_spec else {}
-            return lambda engine, txn: _value_and_image(*engine.insert_item(txn, None, values)), None
+            return _parking(lambda engine, txn: engine.insert_item(txn, None, values),
+                            _value_and_image), None
         if k in (OpKind.PR, OpKind.SU, OpKind.SS):
             predicate = self.env.pred_vars.get(step.pred_var)
             if predicate is None:
@@ -272,31 +226,30 @@ class Monitor:
             else:
                 updates = None if step.literal is None else {"recval": step.literal}
             key = self._resolve_row(step.row_var)
-            return lambda engine, txn: (None, [engine.write_item(txn, key, updates)]), None
+            return _parking(lambda engine, txn: engine.write_item(txn, key, updates), _image), None
         if k not in (OpKind.R, OpKind.RW, OpKind.D):
             raise ValueError(f"cannot resolve step kind {k}")
         key = self._resolve_row(step.row_var)
         if k is OpKind.R:
-            return lambda engine, txn: ([engine.read_item(txn, key, "recval")], []), None
+            return _parking(lambda engine, txn: engine.read_item(txn, key, "recval"),
+                            lambda value: ([value], [])), None
         if k is OpKind.RW:
-            return lambda engine, txn: _value_and_image(*engine.rw_item(txn, key)), None
-        return lambda engine, txn: (None, [engine.delete_item(txn, key)]), None
+            return _parking(lambda engine, txn: engine.rw_item(txn, key), _value_and_image), None
+        return _parking(lambda engine, txn: engine.delete_item(txn, key), _image), None
 
     @staticmethod
     def _predicate_request(step: Step, predicate: PredicateExpr) -> Request:
         if step.kind is OpKind.SU:
-            def request(engine, txn):
-                count, images = engine.set_update(txn, predicate, step.literal)
-                return [count], images
-        elif step.kind is OpKind.SS:
-            def request(engine, txn):
-                return [engine.set_select(txn, predicate, step.aggregate)], []
-        else:
-            def request(engine, txn):
-                rows = engine.predicate_read(txn, step.pred_var, predicate, step.column_spec,
-                                             step.row_limit, step.aggregate)
-                return [t[0] if len(t) == 1 else t for t in rows], []
-        return request
+            return _parking(lambda engine, txn: engine.set_update(txn, predicate, step.literal),
+                            lambda result: ([result[0]], result[1]))
+        if step.kind is OpKind.SS:
+            return _parking(lambda engine, txn: engine.set_select(txn, predicate, step.aggregate),
+                            lambda value: ([value], []))
+        return _parking(
+            lambda engine, txn: engine.predicate_read(txn, step.pred_var, predicate, step.column_spec,
+                                                      step.row_limit, step.aggregate),
+            lambda rows: ([t[0] if len(t) == 1 else t for t in rows], []),
+        )
 
     def _apply_result_bindings(self, step: Step, values: list) -> None:
         k = step.kind
@@ -327,41 +280,24 @@ class Monitor:
 
     def run(self) -> OutputHistory:
         work = list(self.prog.steps)
-        while True:
-            if not self._submit(work):
-                # nothing runs and nothing can be submitted
-                self.stuck = bool(work) or any(self.deferred.values())
-                break
-            if not self._settle(work):
-                self.stuck = True
-                break
-        return self._finish()
-
-    def _submit(self, work: list) -> bool:
-        """Submit steps in program order: one in SYNC mode, every step up to
-        the first one of a busy transaction in ASYNC mode.  In SYNC mode the
-        steps of a transaction whose request is parked are set aside.
-        Returns whether anything was submitted."""
-        sync = self.config.mode is Mode.SYNC
-        submitted = False
-        while work and not (sync and submitted):
-            step = work[0]
-            if step.txn in self.pending:
-                if not sync:
-                    break
-                self.deferred.setdefault(step.txn, []).append(work.pop(0))
+        while work:
+            step = work.pop(0)
+            if step.txn in self.parked:
+                self.deferred.setdefault(step.txn, []).append(step)
                 continue
-            submitted = True
+            batch: list = []
             if step.kind not in (OpKind.PRED, OpKind.MAP, OpKind.IL) and step.txn not in self.levels:
                 # implicit BEGIN: a request like any other that records nothing
                 level = self._default_level()
                 self.levels[step.txn] = level
-                self._send(step.txn, _begin(level), None)
-                continue
-            self._dispatch(work.pop(0))
-        return submitted
+                self._start(step.txn, _begin(level), None, batch)
+            self._dispatch(step, batch)
+            self._resume_settled(batch)
+            work[:0] = self._record(batch)
+        self.stuck = any(self.deferred.values())
+        return self._finish()
 
-    def _dispatch(self, step: Step) -> None:
+    def _dispatch(self, step: Step, batch: list) -> None:
         self._submit_seq += 1
         if step.kind in (OpKind.PRED, OpKind.MAP):
             self._execute_declarative(step)
@@ -373,40 +309,59 @@ class Monitor:
                 OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=error[0])
             )
             return
-        self._send(step.txn, request, _Pending(step, op_text, self._submit_seq))
+        self._start(step.txn, request, _Pending(step, op_text, self._submit_seq), batch)
 
-    def _settle(self, work: list) -> bool:
-        """Wait until no submitted request is running, then record what
-        completed or parked meanwhile in engine event order, and put the
-        set-aside steps of completed transactions back in front of ``work``.
-        Returns False when the stuck guard expired first."""
-        batch = []
-        expired = False
-        while self.running and not expired:
-            try:
-                event, txn, what = self.inbox.get(timeout=4 * self.config.timeout)
-            except queue.Empty:
-                expired = True
-                continue
-            if what == WAKE:
-                self.running.add(txn)
-                continue
-            self.running.discard(txn)
-            pend = self.pending[txn] if what == PARK else self.pending.pop(txn)
-            if pend is not None:
-                batch.append((event, what, pend))
+    def _start(self, txn: int, request: Request, pend: Optional[_Pending], batch: list) -> None:
+        self._step(txn, handle_frame(self.engine, txn, request), pend, batch)
+
+    def _step(self, txn: int, frame: Frame, pend: Optional[_Pending], batch: list) -> None:
+        """Run a started request until it completes or parks, and add
+        ``(event, outcome, pend)`` to ``batch``: ``event`` is the engine
+        event of its last effect, ``outcome`` its (values, images), the code
+        of the error it raised, or None while it is parked."""
+        try:
+            lock = next(frame)
+        except StopIteration as done:
+            outcome = done.value
+        except EngineError as exc:
+            outcome = exc.code
+        except Exception:  # an engine fault ends the request, not the run
+            traceback.print_exc()
+            outcome = "InternalError"
+        else:
+            self.parked[txn] = (frame, lock, pend)
+            outcome = None
+        state = self.engine.txns.get(txn)
+        if pend is not None:
+            batch.append((state.last_event if state else 0, outcome, pend))
+
+    def _resume_settled(self, batch: list) -> None:
+        """Resume the parked requests the engine has settled until none is
+        left, earliest settlement first: a resumed request may settle others.
+        Nothing stamps a parked transaction after its settlement, so its last
+        event is the settlement's."""
+        while True:
+            settled = [txn for txn, (_, lock, _) in self.parked.items() if lock.outcome is not None]
+            if not settled:
+                return
+            txn = min(settled, key=lambda t: self.engine.txns[t].last_event)
+            frame, _, pend = self.parked.pop(txn)
+            self._step(txn, frame, pend, batch)
+
+    def _record(self, batch: list) -> List[Step]:
+        """Record what completed or parked in engine event order; returns the
+        set-aside steps of the transactions whose request completed."""
         resumed: List[Step] = []
-        for _, what, pend in sorted(batch, key=lambda item: item[0]):
-            if what != PARK:
-                self._complete(pend, what)
+        for _, outcome, pend in sorted(batch, key=lambda item: item[0]):
+            if outcome is not None:
+                self._complete(pend, outcome)
                 resumed.extend(self.deferred.pop(pend.step.txn, []))
             elif pend.blocked_seq is None:  # a re-park of a resumed request adds no record
                 blocked = self._emit(
                     OutputRecord(0, pend.submit_seq, pend.step.txn, pend.op_text, STATUS_BLOCKED)
                 )
                 pend.blocked_seq = blocked.seq
-        work[:0] = resumed
-        return not expired
+        return resumed
 
     def _complete(self, pend: _Pending, outcome) -> None:
         step = pend.step
@@ -461,17 +416,12 @@ class Monitor:
             state = self.engine.txns.get(txn)
             if state is not None:  # BLOCKED only while a request is parked
                 finals[txn] = state.status.value
-        self.engine.shutdown()
-        for worker in self.workers.values():
-            worker.send(None)
         header = RunHeader(
             name=self.prog.source_name,
-            mode=self.config.mode.value,
             lock_scope=self.config.engine.lock_scope.value,
             strictness=self.config.engine.strictness.value,
             default_level=self._default_level().name,
             rows=self.config.rows,
-            timeout=self.config.timeout,
             ru_writes_allowed=self.config.engine.ru_writes_allowed,
             stuck=self.stuck,
             levels={t: lvl.name for t, lvl in self.levels.items()},
@@ -484,7 +434,7 @@ def run_history(prog: HistoryProgram, config: Optional[ExecutorConfig] = None) -
     """Execute a parsed history and return its output history.
 
     A stuck run (steps remain but every one belongs to a transaction whose
-    request is parked, or a request ran past the stuck guard) is reported
-    through the header's ``stuck`` flag, not an exception.
+    request is parked) is reported through the header's ``stuck`` flag, not
+    an exception.
     """
     return Monitor(prog, config).run()

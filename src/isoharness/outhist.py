@@ -75,12 +75,10 @@ class OutputRecord:
 @dataclass
 class RunHeader:
     name: str = "<history>"
-    mode: str = "SYNC"
     lock_scope: str = "PREDICATE"
     strictness: str = "PER_LEVEL"
     default_level: str = "RC"
     rows: int = 200
-    timeout: float = 2.0
     ru_writes_allowed: bool = False
     stuck: bool = False
     levels: Dict[int, str] = field(default_factory=dict)
@@ -252,18 +250,18 @@ def _record_line(rec: OutputRecord) -> str:
 
 
 _BOOL = {"yes": True, "no": False}
+# Written by older versions: the run mode and the stuck guard's timeout.
+_RETIRED_KEYS = ("mode", "timeout")
 
 
 def serialize(oh: OutputHistory) -> str:
     h = oh.header
     lines = [
         f"# name: {h.name}",
-        f"# mode: {h.mode}",
         f"# lock-scope: {h.lock_scope}",
         f"# strictness: {h.strictness}",
         f"# default-level: {h.default_level}",
         f"# rows: {h.rows}",
-        f"# timeout: {h.timeout}",
         f"# ru-writes-allowed: {'yes' if h.ru_writes_allowed else 'no'}",
     ]
     if h.stuck:
@@ -327,8 +325,8 @@ def parse_output(text: str) -> OutputHistory:
             try:
                 if key == "name":
                     h.name = value
-                elif key == "mode":
-                    h.mode = value
+                elif key in _RETIRED_KEYS:
+                    pass
                 elif key == "lock-scope":
                     h.lock_scope = value
                 elif key == "strictness":
@@ -337,8 +335,6 @@ def parse_output(text: str) -> OutputHistory:
                     h.default_level = value
                 elif key == "rows":
                     h.rows = _number(value)
-                elif key == "timeout":
-                    h.timeout = float(value)
                 elif key == "ru-writes-allowed":
                     h.ru_writes_allowed = _BOOL[value]
                 elif key == "stuck":

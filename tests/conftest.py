@@ -1,20 +1,20 @@
 import sys
-import threading
-import time
 from pathlib import Path
-
-import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from isoharness.engine import EngineConfig
-from isoharness.executor import ExecutorConfig, Mode, Monitor
+from isoharness.engine import Engine, EngineConfig
+from isoharness.executor import ExecutorConfig, Monitor
 from isoharness.notation import parse_history
+
+#: The engine operations that can park: generators that yield each lock
+#: request they park on and return the operation's result.
+PARKING_OPS = ("read_item", "write_item", "rw_item", "delete_item", "insert_item",
+               "predicate_read", "set_update", "set_select")
 
 
 def fast_config(**kwargs) -> ExecutorConfig:
-    """Executor config with a short stuck guard for the test suite."""
-    kwargs.setdefault("timeout", 0.25)
+    """Executor config for the test suite."""
     kwargs.setdefault("engine", EngineConfig())
     return ExecutorConfig(**kwargs)
 
@@ -27,47 +27,61 @@ def run_text(text: str, name: str = "<test>", **kwargs):
     return output, monitor
 
 
-class OpThread:
-    """Run one engine call on a thread so tests can observe blocking."""
+def finish(op):
+    """Run a started engine operation to its end and return its result;
+    fails if the operation parks."""
+    try:
+        lock = next(op)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError(f"operation parked on {lock}")
 
-    def __init__(self, fn, *args, **kwargs):
+
+def _finishing(name: str):
+    def call(self, *args, **kwargs):
+        return finish(getattr(Engine, name)(self, *args, **kwargs))
+
+    call.__name__ = name
+    return call
+
+
+#: An engine whose parking operations are plain calls that must not park;
+#: :class:`OpThread` steps the same operations one park at a time.
+FinishingEngine = type("FinishingEngine", (Engine,), {name: _finishing(name) for name in PARKING_OPS})
+
+
+class OpThread:
+    """Step one parking operation of an engine, so tests can observe it
+    park: ``OpThread(engine.read_item, txn, ...)`` runs the operation until
+    it completes or parks, and each query resumes it while the engine has
+    settled the lock request it is parked on."""
+
+    def __init__(self, op, *args, **kwargs):
+        self.frame = getattr(Engine, op.__name__)(op.__self__, *args, **kwargs)
+        self.lock = None  # the lock request it last parked on
         self.result = None
         self.error = None
-        self._done = threading.Event()
+        self._done = False
+        self._step()
 
-        def target():
+    def _step(self) -> None:
+        while not self._done and (self.lock is None or self.lock.outcome is not None):
             try:
-                self.result = fn(*args, **kwargs)
-            except Exception as exc:  # noqa: BLE001 - surfaced via .error
-                self.error = exc
-            finally:
-                self._done.set()
+                self.lock = next(self.frame)
+            except StopIteration as done:
+                self.result, self._done = done.value, True
+            except Exception as exc:  # noqa: BLE001 - surfaced via .outcome()
+                self.error, self._done = exc, True
 
-        self.thread = threading.Thread(target=target, daemon=True)
-        self.thread.start()
+    def done(self) -> bool:
+        self._step()
+        return self._done
 
-    def done(self, timeout=2.0) -> bool:
-        return self._done.wait(timeout)
+    def still_blocked(self) -> bool:
+        return not self.done()
 
-    def still_blocked(self, settle=0.05) -> bool:
-        return not self._done.wait(settle)
-
-    def outcome(self, timeout=2.0):
-        assert self._done.wait(timeout), "operation never completed"
+    def outcome(self):
+        assert self.done(), f"operation still parked on {self.lock}"
         if self.error is not None:
             raise self.error
         return self.result
-
-
-@pytest.fixture
-def opthread():
-    return OpThread
-
-
-def wait_until(cond, timeout=2.0, step=0.002) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if cond():
-            return True
-        time.sleep(step)
-    return False

@@ -162,7 +162,7 @@ def pair_enumeration_oracle(oh):
 def check_strict_2pl(events):
     """Offences against strict two-phase locking in an engine event trace:
     no acquisition after a transaction released any long lock, and long
-    locks released only at termination (or engine shutdown)."""
+    locks released only at termination."""
     offences = []
     released_long = set()
     for ev in events:
@@ -170,7 +170,7 @@ def check_strict_2pl(events):
             if ev.txn in released_long:
                 offences.append(f"event {ev.seq}: T{ev.txn} acquired after releasing a long lock")
         elif ev.action == "RELEASE" and ev.duration.value == "LONG":
-            if ev.reason not in ("TERMINATION", "SHUTDOWN"):
+            if ev.reason != "TERMINATION":
                 offences.append(f"event {ev.seq}: T{ev.txn} released a long lock mid-transaction")
             released_long.add(ev.txn)
     return offences

@@ -13,6 +13,7 @@ from isoharness.dataset import (
 from isoharness.engine import Engine, EngineConfig
 from isoharness.notation import SCHEMA_COLUMNS, And, Comparison, IsolationLevel, Or, parse_predicate
 
+from conftest import finish
 from oracles import eval_pred_oracle, match_count_oracle, table_rows_oracle
 
 
@@ -221,7 +222,7 @@ def test_engine_scan_makes_one_holds_call_per_examined_row(monkeypatch):
         monkeypatch.setattr(cls, "holds", counting_holds(cls.holds))
     e = Engine(build_canonical_table(600), EngineConfig())
     e.begin(1, IsolationLevel.RC)
-    rows = e.predicate_read(1, "P", pred, ("reckey",), "all")
+    rows = finish(e.predicate_read(1, "P", pred, ("reckey",), "all"))
     assert examined == 600
     assert holds_calls == examined and nested == 0
     assert len(rows) == sum(eval_pred_oracle(pred, r) for r in table_rows_oracle(600))

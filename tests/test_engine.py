@@ -27,7 +27,7 @@ from isoharness.engine import (
 )
 from isoharness.notation import UnknownColumn, parse_predicate
 
-from conftest import OpThread, run_text, wait_until
+from conftest import FinishingEngine, OpThread, run_text
 
 
 def make_engine(rows=200, scope=LockScope.PREDICATE, strict=False, ru_writes=False):
@@ -37,7 +37,7 @@ def make_engine(rows=200, scope=LockScope.PREDICATE, strict=False, ru_writes=Fal
         strictness=Strictness.STRICT_ALL_LONG if strict else Strictness.PER_LEVEL,
         ru_writes_allowed=ru_writes,
     )
-    return Engine(table, config)
+    return FinishingEngine(table, config)
 
 
 PRED_K = parse_predicate("k2=1 and k3<2")
@@ -114,7 +114,7 @@ def test_read_blocked_by_uncommitted_write_then_resumes():
     e.begin(2, IL.RC)
     e.write_item(2, 100, {"recval": 1001})
     reader = OpThread(e.read_item, 1, 100, "recval")
-    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert e.request_state(1) == "WAITING"
     assert reader.still_blocked()
     e.commit(2)
     assert reader.outcome() == 1001
@@ -183,7 +183,7 @@ def test_write_into_held_predicate_blocks():
     rows = e.predicate_read(1, "P", PRED_K, ("recval",), "all")
     assert rows[0] == (200, 20000)
     writer = OpThread(e.write_item, 2, 200, {"k2": 0})
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert writer.still_blocked()
     e.commit(1)
     writer.outcome()
@@ -224,7 +224,7 @@ def test_rw_concurrent_blocks():
     e.begin(2, IL.RC)
     e.rw_item(1, 100)
     other = OpThread(e.rw_item, 2, 100)
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert other.still_blocked()
     e.commit(1)
     assert other.outcome()[0] == 10001
@@ -236,7 +236,7 @@ def test_rw_behind_committed_delete_finds_no_row():
     e.begin(2, IL.RC)
     e.delete_item(1, 100)
     other = OpThread(e.rw_item, 2, 100)
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     e.commit(1)
     with pytest.raises(RowNotFound):
         other.outcome()
@@ -292,7 +292,7 @@ def test_phantom_insert_blocked_at_sr():
     e.begin(2, IL.RC)
     e.predicate_read(1, "P", parse_predicate("k2=0"), ("reckey",), "all")
     inserter = OpThread(e.insert_item, 2, None, {"k2": 0})
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert inserter.still_blocked()
     e.commit(1)
     inserter.outcome()
@@ -324,7 +324,7 @@ def test_delete_blocked_by_long_read_lock():
     e.begin(2, IL.RC)
     e.read_item(1, 100)
     deleter = OpThread(e.delete_item, 2, 100)
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert deleter.still_blocked()
     e.commit(1)
     deleter.outcome()
@@ -393,10 +393,10 @@ def test_incremental_count_waits_for_insert_then_locks_whole_range():
     e.insert_item(2, 150, {})
     counter = OpThread(e.predicate_read, 1, "P", parse_predicate("k2=0"), None, 1,
                        aggregate="count")
-    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert e.request_state(1) == "WAITING"
     e.rollback(2)
     rows = counter.outcome()
-    assert rows == [(100,)] and e.txns[1].cursors["P"].exhausted
+    assert rows == [(100,)] and "P" not in e.txns[1].cursors  # a count stores no cursor
     whole = RangeResource(0.0, float("inf"))
     assert [(g.resource, g.mode, g.duration) for g in e.held_locks(1)] == [(whole, S, LONG)]
     assert lock_trace(e) == [
@@ -427,7 +427,7 @@ def test_incremental_scan_blocks_only_inside_frontier():
     assert rows == [(100, 10000)]
     e.write_item(2, 700, {"recval": 777})  # beyond the scan frontier: no block
     drain = OpThread(e.predicate_read, 1, "P", pred, ("recval",), "all")
-    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert e.request_state(1) == "WAITING"
     assert drain.still_blocked()
     e.commit(2)
     rows = drain.outcome()
@@ -441,7 +441,7 @@ def test_incremental_write_inside_frontier_blocks():
     pred = parse_predicate("k2=0 and k3=0")
     e.predicate_read(1, "P", pred, ("recval",), 2)  # frontier now at 700
     writer = OpThread(e.write_item, 2, 400, {"recval": 9})  # 400 inside (100, 700]
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert writer.still_blocked()
     e.commit(1)
     writer.outcome()
@@ -457,7 +457,7 @@ def test_incremental_fetch_waiting_on_an_insert_reads_its_outcome(row_limit, t2_
     e.insert_item(2, 150, {})  # k2=0 and k3=0, between the matches 100 and 700
     reader = OpThread(e.predicate_read, 1, "P", parse_predicate("k2=0 and k3=0"),
                       ("reckey",), row_limit)
-    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert e.request_state(1) == "WAITING"
     assert reader.still_blocked()
     if t2_commits:
         e.commit(2)
@@ -475,7 +475,7 @@ def test_incremental_without_index_locks_everything():
     e.begin(2, IL.RC)
     e.predicate_read(1, "P", parse_predicate("k2=0 and k3=0"), ("recval",), 1)
     writer = OpThread(e.write_item, 2, 19900, {"recval": 1})  # far beyond any frontier
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert writer.still_blocked()
     e.commit(1)
     writer.outcome()
@@ -506,7 +506,7 @@ def test_set_update_blocked_by_read_lock_on_match():
     e.begin(2, IL.RC)
     e.read_item(1, 300)  # long S at RR; row 300 matches k2=0
     updater = OpThread(e.set_update, 2, parse_predicate("k2=0"), 1)
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert updater.still_blocked()
     e.commit(1)
     assert updater.outcome()[0] == 100
@@ -519,7 +519,7 @@ def test_set_update_skips_row_that_leaves_predicate_while_waiting():
     pred = parse_predicate("recval<25000")  # rows 100 and 200
     e.write_item(1, 100, {"recval": 15000})  # still inside the predicate
     updater = OpThread(e.set_update, 2, pred, 1)
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     e.write_item(1, 100, {"recval": 99999})  # now outside it
     e.commit(1)
     count, images = updater.outcome()
@@ -553,7 +553,7 @@ def test_set_select_at_sr_leaves_long_predicate_lock():
     e.begin(2, IL.RC)
     e.set_select(1, parse_predicate("k2=0"), "count")
     inserter = OpThread(e.insert_item, 2, None, {"k2": 0})
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert inserter.still_blocked()
     e.commit(1)
     inserter.outcome()
@@ -646,9 +646,9 @@ def test_fifo_grant_order_preserved():
     e.begin(3, IL.RR)
     e.write_item(1, 100, {"recval": 1})
     writer = OpThread(e.write_item, 2, 100, {"recval": 2})
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     reader = OpThread(e.read_item, 3, 100)
-    assert wait_until(lambda: e.request_state(3) == "WAITING")
+    assert e.request_state(3) == "WAITING"
     e.commit(1)
     assert writer.done()
     assert reader.still_blocked()  # behind txn 2's exclusive lock
@@ -679,7 +679,7 @@ def test_two_txn_deadlock_aborts_younger():
     e.write_item(1, 100, {"recval": 1})
     e.write_item(2, 200, {"recval": 2})
     t1 = OpThread(e.write_item, 1, 200, {"recval": 3})
-    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert e.request_state(1) == "WAITING"
     t2 = OpThread(e.write_item, 2, 100, {"recval": 4})
     with pytest.raises(DeadlockAbort):
         t2.outcome()
@@ -695,7 +695,7 @@ def test_no_cycle_no_victim():
     e.begin(2, IL.RC)
     e.write_item(1, 100, None)
     blocked = OpThread(e.write_item, 2, 100, None)
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     assert blocked.still_blocked()  # parked, not picked as a victim
     assert e.txns[2].status is TxnStatus.BLOCKED
     e.commit(1)
@@ -708,9 +708,9 @@ def test_three_txn_cycle_single_victim():
         e.begin(txn, IL.RC)
         e.write_item(txn, 100 * txn, {"recval": txn})
     t1 = OpThread(e.write_item, 1, 200, {"recval": 9})
-    assert wait_until(lambda: e.request_state(1) == "WAITING")
+    assert e.request_state(1) == "WAITING"
     t2 = OpThread(e.write_item, 2, 300, {"recval": 9})
-    assert wait_until(lambda: e.request_state(2) == "WAITING")
+    assert e.request_state(2) == "WAITING"
     t3 = OpThread(e.write_item, 3, 100, {"recval": 9})
     with pytest.raises(DeadlockAbort):
         t3.outcome()  # youngest in the cycle
@@ -754,7 +754,7 @@ def test_sorted_keys_follow_every_insert_and_delete():
     e.begin(4, IL.RC)
     e.delete_item(3, 500)
     inserter = OpThread(e.insert_item, 4, 500, {})  # over another's tombstone
-    assert wait_until(lambda: e.request_state(4) == "WAITING")
+    assert e.request_state(4) == "WAITING"
     e.commit(3)  # drops the row, then the insert puts it back
     inserter.outcome()
     assert not table.rows[500].tombstone and in_order()
@@ -835,7 +835,7 @@ def test_parked_predicate_read_checks_one_grant_per_blocker(monkeypatch):
     for rows in (200, 2000):
         calls = 0
         oh, _ = run_text("PRED(P, recval>0) PRED(Q, k2=0) IL1(RC) IL2(RC) SU1(P, 1)"
-                         " PR2(Q;reckey;all) C1 C2", rows=rows, timeout=10)
+                         " PR2(Q;reckey;all) C1 C2", rows=rows)
         assert any(rec.op_text.startswith("PR2") and rec.status == "BLOCKED" for rec in oh.records)
         checks[rows] = calls
     assert checks[200] == checks[2000] <= 4, checks
@@ -850,11 +850,14 @@ def test_predicate_conflict_checks_grow_linearly_with_undo_log():
         e.begin(1, IL.RC)
         e.begin(2, IL.RC)
         e.set_update(1, parse_predicate("recval>0"), 1)
-        reader = OpThread(_lines_run_in, Engine._images_of.__code__, lambda: e.predicate_read(
-            2, "Q", parse_predicate("k2=0"), ("reckey",), "all"))
-        assert wait_until(lambda: e.request_state(2) == "WAITING", timeout=120)
-        e.commit(1)
-        lines[rows] = reader.outcome(timeout=120)
+
+        def read():
+            reader = OpThread(e.predicate_read, 2, "Q", parse_predicate("k2=0"), ("reckey",), "all")
+            assert e.request_state(2) == "WAITING"
+            e.commit(1)
+            reader.outcome()
+
+        lines[rows] = _lines_run_in(Engine._images_of.__code__, read)
         e.commit(2)
     assert lines[200] > 0
     assert lines[2000] <= 12 * lines[200], lines  # a scan of the log would be ~100

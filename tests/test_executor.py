@@ -1,24 +1,11 @@
-import os
-import queue
-import sys
+import gc
 import time
-from collections import Counter
 
 import pytest
 
-from isoharness import executor
 from isoharness.analyzer import Verdict, analyze_history
-from isoharness.cli import run_campaign
-from isoharness.dataset import build_canonical_table
-from isoharness.engine import PARK, Engine, EngineConfig
-from isoharness.executor import (
-    ExecutorConfig,
-    Mode,
-    Monitor,
-    Worker,
-    handle_frame,
-    run_history,
-)
+from isoharness.engine import Engine, EngineConfig, LockScope, RowNotFound
+from isoharness.executor import Monitor, handle_frame, run_history
 from isoharness.notation import IsolationLevel, parse_history, parse_predicate
 from isoharness.outhist import (
     STATUS_BLOCKED,
@@ -29,7 +16,7 @@ from isoharness.outhist import (
     serialize,
 )
 
-from conftest import fast_config, run_text
+from conftest import fast_config, finish, run_text
 
 
 # ------------------------------------------------------------ sync behavior
@@ -172,7 +159,7 @@ def _requester(**predicates):
     def run(step_text):
         request, error = mon.resolve_step(parse_history(step_text).steps[0])
         assert error is None
-        return handle_frame(mon.engine, 1, request)
+        return finish(handle_frame(mon.engine, 1, request))
 
     return mon, run
 
@@ -186,12 +173,9 @@ def test_missing_row_failure_frame():
     mon, _ = _requester()
     mon.env.row_vars["A"] = 99999
     request, _ = mon.resolve_step(parse_history("W1(A, 7)").steps[0])
-    worker = Worker(1, mon.engine, queue.SimpleQueue())
-    worker.send(request)
-    assert worker.responses.get(timeout=2)[1:] == (1, "RowNotFound")
-    worker.send(None)  # ends the thread
-    worker.thread.join(timeout=2)
-    assert not worker.thread.is_alive()
+    with pytest.raises(RowNotFound) as info:
+        finish(handle_frame(mon.engine, 1, request))
+    assert info.value.code == "RowNotFound"
 
 
 def test_pr_frame_roundtrip():
@@ -228,6 +212,8 @@ def test_request_outcome_is_what_its_record_reads_back(step):
 
 
 def test_worker_failure_becomes_an_error_record(monkeypatch):
+    # an engine operation that raises a non-engine exception gives an
+    # InternalError record, and the run goes on to its end
     def broken(self, *args, **kwargs):
         raise RuntimeError("broken engine")
 
@@ -240,66 +226,6 @@ def test_worker_failure_becomes_an_error_record(monkeypatch):
         ("C1", STATUS_OK, None),
     ]
     assert oh.finals == {1: "COMMITTED"}
-
-
-# ------------------------------------------------------------ async mode
-
-
-def _async_sends(monkeypatch, text):
-    """Run ``text`` in ASYNC mode; returns the output history and, for each
-    request sent, its transaction, its step's kind (BEGIN for an implicit
-    one) and the transactions that had a request out just before it."""
-    sends = []
-    send = Monitor._send
-
-    def spy(self, txn, request, pend):
-        sends.append((txn, pend.step.kind.name if pend else "BEGIN", set(self.pending)))
-        send(self, txn, request, pend)
-
-    monkeypatch.setattr(Monitor, "_send", spy)
-    oh = Monitor(parse_history(text), fast_config(mode=Mode.ASYNC)).run()
-    return oh, sends
-
-
-def test_async_disjoint_transactions_overlap(monkeypatch):
-    oh, sends = _async_sends(monkeypatch, "IL1(RC) IL2(RC) W1(A, 1) W2(B, 2) C1 C2")
-    assert not oh.header.stuck
-    assert oh.finals == {1: "COMMITTED", 2: "COMMITTED"}
-    # both writes were in flight at once: W2 went out while W1 was still out
-    writes = [(txn, out) for txn, op, out in sends if op == "W"]
-    assert writes == [(1, set()), (2, {1})]
-
-
-def test_async_one_outstanding_per_txn(monkeypatch):
-    oh, sends = _async_sends(monkeypatch, "IL1(RC) W1(A, 1) W1(A, 2) W1(A, 3) C1")
-    assert oh.finals == {1: "COMMITTED"}
-    assert [op for _, op, _ in sends] == ["IL", "W", "W", "W", "C"]
-    for txn, _, out in sends:
-        assert txn not in out  # no overlap within a transaction
-
-
-def test_async_conflict_free_matches_sync_final_state():
-    text = "IL1(RC) IL2(RC) W1(A, 41) RW2(B) W1(E, 43) C1 C2"
-    sync_oh, sync_mon = run_text(text)
-    prog = parse_history(text)
-    async_mon = Monitor(prog, fast_config(mode=Mode.ASYNC))
-    async_oh = async_mon.run()
-    assert not async_oh.header.stuck
-    assert sync_mon.engine.table.snapshot() == async_mon.engine.table.snapshot()
-
-
-def test_async_blocked_scan_stop_goes_stuck():
-    # R1(B) forces W1 to complete before W2 is submitted (one outstanding op
-    # per transaction), so W2 blocks deterministically; the submission scan
-    # then stops at C2, C1 is never reached, and W2 can never resume
-    text = "IL1(RC) IL2(RC) W1(A, 1) R1(B, X) W2(A, 2) C2 C1"
-    prog = parse_history(text)
-    mon = Monitor(prog, fast_config(mode=Mode.ASYNC, timeout=0.05))
-    oh = mon.run()
-    w2_records = [r for r in oh.records if r.op_text.startswith("W2")]
-    assert [r.status for r in w2_records] == [STATUS_BLOCKED]
-    assert oh.header.stuck
-    assert oh.finals[2] == "BLOCKED"
 
 
 # ------------------------------------------------------------- dispatch
@@ -347,96 +273,69 @@ def test_deadlock_victim_recorded_before_survivor_completes():
 
 
 def test_slow_scan_that_never_waits_is_not_blocked(monkeypatch):
-    # The real scan plus a sleep of twice the timeout: slower than the
-    # timeout, well inside the 4x stuck guard, whatever the machine load.
-    rows, timeout = 5000, 0.25
+    # The real scan plus a sleep: slow, but it never parks, so it is OK.
+    rows, pause = 5000, 0.05
     scan = Engine.predicate_read
     took = []
 
     def slow_scan(self, *args, **kwargs):
         t0 = time.perf_counter()
-        result = scan(self, *args, **kwargs)
-        time.sleep(2 * timeout)
+        result = yield from scan(self, *args, **kwargs)
+        time.sleep(pause)
         took.append(time.perf_counter() - t0)
         return result
 
     monkeypatch.setattr(Engine, "predicate_read", slow_scan)
-    oh, _ = run_text(
-        "PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;reckey;all) C1", rows=rows, timeout=timeout
-    )
-    assert len(took) == 1 and took[0] > timeout
+    oh, _ = run_text("PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;reckey;all) C1", rows=rows)
+    assert len(took) == 1 and took[0] > pause
     assert not oh.header.stuck
     scan = [r for r in oh.records if r.op_text.startswith("PR1")]
     assert [r.status for r in scan] == [STATUS_OK]
     assert len(scan[0].values) == rows // 6 + 1
 
 
-def test_async_matrix_verdicts_sound_and_parks_recorded(monkeypatch):
-    # Every op of the predicate-scope matrix takes one lock, so it parks at
-    # most once: the engine's PARK posts per transaction must match the
-    # BLOCKED records one for one.
-    runs = []
-
-    class SpyMonitor(Monitor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.parks = Counter()
-            post = self.engine._post
-
-            def spy(st, what):
-                if what == PARK:
-                    self.parks[st.txn] += 1
-                post(st, what)
-
-            self.engine._post = spy
-
-        def run(self):
-            output = super().run()
-            runs.append((output, self.parks))
-            return output
-
-    monkeypatch.setattr(executor, "Monitor", SpyMonitor)
-    for _ in range(2):
-        report = run_campaign(
-            fast_config(mode=Mode.ASYNC), variants=("insert", "delete", "set_update"), parallel=4
-        )
-        assert report.totals["VIOLATION"] == 0
-        assert report.totals["OVER_RESTRICTIVE"] == 0
-    assert len(runs) == 2 * 81
-    for output, parks in runs:
-        blocked = Counter(r.txn for r in output.records if r.status == STATUS_BLOCKED)
-        assert blocked == parks, serialize(output)
+# ------------------------------------------------------------- one thread
 
 
-def test_shared_inbox_stress_matches_sync():
-    # More transactions than cores.  Odd transactions drain P, even ones
-    # write a row in P and commit, back to back, so requests park and wake
-    # on every run: a writer waits for a scan's short predicate lock, a scan
-    # for the previous writer's commit.  A lost or misordered inbox message
-    # shows as a stuck run, a missing record or a lost write.
-    pairs = (os.cpu_count() or 1) + 2
-    steps = ["PRED(P, k2=0)"]
-    steps += [f"MAP(R{w}, {100 * (2 * w - 1)})" for w in range(2, 2 * pairs + 1, 2)]
-    steps += [f"IL{t}(RC)" for t in range(1, 2 * pairs + 1)]
-    for s in range(1, 2 * pairs, 2):
-        steps += [f"PR{s}(P;reckey;all)", f"W{s + 1}(R{s + 1}, {s + 1})", f"C{s + 1}"]
-    steps += [f"C{s}" for s in range(1, 2 * pairs, 2)]
-    text = " ".join(steps)
-    sync_oh, sync_mon = run_text(text)
-    expected = sync_mon.engine.table.snapshot()
-    assert expected[300].values["recval"] == 2
-    completions = sum(r.completes() for r in sync_oh.records)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        deadline = time.monotonic() + 3.0
-        runs = 0
-        while runs < 3 or (time.monotonic() < deadline and runs < 30):
-            oh, mon = run_text(text, mode=Mode.ASYNC, timeout=1.0)
-            assert not oh.header.stuck
-            assert sum(r.completes() for r in oh.records) == completions
-            assert all(r.succeeded() for r in oh.records if r.completes())
-            assert mon.engine.table.snapshot() == expected
-            runs += 1
-    finally:
-        sys.setswitchinterval(old)
+def _records_and_lock_events(text, **kwargs):
+    oh, mon = run_text(text, **kwargs)
+    events = [(ev.seq, ev.txn, ev.action, ev.resource, ev.mode, ev.duration, ev.reason)
+              for ev in mon.engine.lock_events]
+    return serialize(oh), events
+
+
+@pytest.mark.parametrize("text", [
+    "MAP(A, 100) IL1(RC) IL2(RC) IL3(RC) W1(A) R2(A) R3(A) C1 C2 C3",
+    "PRED(P, k2=0 and k3=0) MAP(A, 700) IL1(RC) IL2(RC) IL3(RC) W1(A)"
+    " PR2(P;reckey;all) PR3(P;recval;all) C1 C2 C3",
+])
+def test_a_commit_that_settles_two_requests_gives_one_output(text):
+    # C1 settles the parked requests of T2 and T3 at once: they resume in
+    # the order they were granted (FIFO), in every run
+    first = _records_and_lock_events(text)
+    for _ in range(19):
+        assert _records_and_lock_events(text) == first
+    resumed = [r.txn for r in parse_output(first[0]).records if r.status == STATUS_RESUMED]
+    assert resumed == [2, 3]
+
+
+def test_a_request_parked_when_the_run_ends_logs_nothing_afterwards():
+    # PR1 holds the short range lock (0, 100] while it waits for T2's write
+    # at 700; the run ends with it parked, and closing it releases nothing
+    oh, mon = run_text("PRED(P, k2=0 and k3=0) MAP(X, 700) IL1(RC) IL2(RC) W2(X)"
+                       " PR1(P;reckey;all)", engine=EngineConfig(lock_scope=LockScope.INCREMENTAL_RANGE))
+    engine = mon.engine
+    logged = len(engine.lock_events)
+    assert 1 in mon.parked
+    del mon
+    gc.collect()
+    assert len(engine.lock_events) == logged
+    assert serialize(oh).endswith("# final: 1=BLOCKED 2=ACTIVE\n")
+
+
+def test_count_reads_the_whole_predicate_beside_a_cursor():
+    # a count(*) neither reads nor moves the variable's cursor
+    oh, _ = run_text("PRED(P, k2=0 and k3=0) IL1(RC) PR1(P;count(*);1) PR1(P;count(*);1)"
+                     " PR1(P;reckey;2) PR1(P;count(*);all) C1")
+    reads = [r.values for r in oh.records if r.op_text.startswith("PR1")]
+    assert reads == [[34], [34], [100, 700], [34]]
