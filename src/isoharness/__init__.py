@@ -11,7 +11,6 @@ from .analyzer import (
     Judgment,
     Verdict,
     analyze_history,
-    classify_history,
     detect_pairs,
     judge,
 )

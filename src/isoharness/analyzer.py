@@ -22,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .notation import (
-    HistoryProgram,
     IsolationLevel,
     OpKind,
-    PredicateExpr,
     Step,
     WRITE_KINDS,
     parse_record_op,
@@ -40,8 +38,8 @@ from .outhist import (
     STATUS_DEADLOCK,
 )
 
-
-HISTORY_CLASSES = ("w_w", "w_r", "r_w", "w_pr", "pr_w")
+if TYPE_CHECKING:
+    from .notation import PredicateExpr
 
 
 class AnalyzerError(Exception):
@@ -50,10 +48,6 @@ class AnalyzerError(Exception):
 
 class UnknownLevel(AnalyzerError):
     """A transaction in a pair has no isolation level in the header."""
-
-
-class UnclassifiableHistory(AnalyzerError):
-    """History carries no intended-class metadata."""
 
 
 class MissingImages(AnalyzerError):
@@ -320,13 +314,3 @@ def analyze_history(oh: OutputHistory) -> Judgment:
     levels = header_levels(oh)
     pairs = detect_pairs(oh)
     return judge(pairs, levels, ru_write_records(oh, levels))
-
-
-def classify_history(prog: HistoryProgram) -> str:
-    """Intended conflict class from the generator's metadata header."""
-    cls = prog.metadata.get("class")
-    if cls not in HISTORY_CLASSES:
-        raise UnclassifiableHistory(
-            f"{prog.source_name}: no intended-class metadata; per-pair analysis still applies"
-        )
-    return cls

@@ -23,11 +23,10 @@ from .executor import ExecutorConfig, run_history
 from .generator import (
     ALL_CLASSES,
     DEFAULT_VARIANT,
-    MATRIX_LEVELS,
     generate_matrix,
     ru_scenario,
 )
-from .notation import IsolationLevel, NotationError, parse_history
+from .notation import IsolationLevel, NotationError, parse_history, render_history
 from .outhist import FormatError, OutputHistory, parse_output, serialize
 
 
@@ -178,9 +177,6 @@ def run_campaign(base_config: ExecutorConfig,
 
 
 def cmd_dataset(args) -> int:
-    if args.action != "dump":
-        print(f"unknown dataset action {args.action!r}", file=sys.stderr)
-        return 1
     sys.stdout.write(dump_tsv(build_canonical_table(args.rows)))
     return 0
 
@@ -194,8 +190,6 @@ def cmd_gen(args) -> int:
         programs.append(ru_scenario())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .notation import render_history
-
     for i, prog in enumerate(programs, start=1):
         path = out / f"{i:03d}_{prog.source_name}.hist"
         path.write_text(render_history(prog) + "\n")

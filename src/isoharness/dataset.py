@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import TYPE_CHECKING, Dict, Iterator, List
 
-from .notation import (
-    PredicateExpr,
-    SCHEMA_COLUMN_SUFFIXES,
-    SCHEMA_COLUMNS,
-)
+from .notation import SCHEMA_COLUMN_SUFFIXES, SCHEMA_COLUMNS
+
+if TYPE_CHECKING:
+    from .notation import PredicateExpr
 
 
 class InvalidRowCount(ValueError):

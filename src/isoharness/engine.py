@@ -52,10 +52,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from .dataset import CanonicalTable, Row, eval_predicate
-from .notation import IsolationLevel, PredicateExpr, SCHEMA_COLUMNS, UnknownColumn
+from .notation import IsolationLevel, SCHEMA_COLUMNS, UnknownColumn
+
+if TYPE_CHECKING:
+    from .notation import PredicateExpr
 
 
 class EngineError(Exception):

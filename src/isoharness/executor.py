@@ -1,30 +1,31 @@
 """The monitor: runs a history's steps against the engine on one thread.
 
-The monitor owns variable bindings and turns each step into a request: a
-function of ``(engine, txn)`` that :func:`handle_frame` starts.  The request
-is a generator that makes the step's engine call, yields each lock request
-the call parks on, and returns the record's ``(values, images)``; the code
-of an engine error it raises becomes the record's status.  Records keep the
-engine's own :class:`engine.WriteImage` objects, which
-:func:`outhist.serialize` encodes.  The monitor never touches table or lock
-state but through the engine calls its requests make.
+The monitor owns variable bindings.  :func:`handle_frame` carries out one
+step: a generator that resolves the step's bindings, makes its engine call,
+yields each lock request the call parks on, binds what the result carries
+and returns the record's ``(values, images)``; the code of an engine error
+it raises becomes the record's status.  Records keep the engine's own
+:class:`engine.WriteImage` objects, which :func:`outhist.serialize` encodes.
+The monitor never touches table or lock state but through the engine calls
+its steps make.
 
-Steps run one at a time, in program order, each until its request completes
-or parks in the lock table.  The steps of a transaction whose request is
-parked are set aside until it completes; steps of other transactions go on.
-After each step the monitor resumes every parked request the engine has
-settled (granted, or its transaction picked as a deadlock victim), earliest
-settlement first, until none is left, then records what completed or parked
-in engine event order.  So BLOCKED means "parked in the lock table", the
-output history is the engine's own order, and a run writes the same records
-every time.  A run is stuck when only steps of parked transactions remain.
+Steps run one at a time, in program order, each until its engine call
+completes or parks in the lock table.  The steps of a transaction whose
+call is parked are set aside until it completes; steps of other
+transactions go on.  After each step the monitor resumes every parked call
+the engine has settled (granted, or its transaction picked as a deadlock
+victim), earliest settlement first, until none is left, then records what
+completed or parked in engine event order.  So BLOCKED means "parked in the
+lock table", the output history is the engine's own order, and a run writes
+the same records every time.  A run is stuck when only steps of parked
+transactions remain.
 """
 
 from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from . import outhist
 from .dataset import build_canonical_table
@@ -41,7 +42,6 @@ from .notation import (
     HistoryProgram,
     IsolationLevel,
     OpKind,
-    PredicateExpr,
     Step,
     render_step,
 )
@@ -56,6 +56,15 @@ from .outhist import (
     STATUS_READONLY,
     STATUS_RESUMED,
 )
+
+if TYPE_CHECKING:
+    from .notation import PredicateExpr
+
+    # Only for type checkers: typing caches subscripted generics, so at run
+    # time the alias would keep the Engine class of every import alive.
+    #: A step under way: yields each lock request it parks on and returns
+    #: the record's (values, images).
+    Frame = Generator[LockRequest, None, Tuple[Optional[list], List[WriteImage]]]
 
 
 @dataclass
@@ -74,58 +83,95 @@ class BindingEnv:
     pred_vars: Dict[str, PredicateExpr] = field(default_factory=dict)
 
 
-# ------------------------------------------------------------------ requests
-
-if TYPE_CHECKING:
-    # Only for type checkers: typing caches subscripted generics, so at run
-    # time the alias would keep the Engine class of every import alive.
-    #: A started request: yields each lock request it parks on and returns
-    #: the record's (values, images).
-    Frame = Generator[LockRequest, None, Tuple[Optional[list], List[WriteImage]]]
-    #: A step's engine call: ``request(engine, txn)`` starts it.
-    Request = Callable[[Engine, int], Frame]
+# -------------------------------------------------------------------- steps
 
 
-def _plain(call: Callable[[Engine, int], object]) -> Request:
-    """A request for an engine call that never parks: begin, commit, rollback."""
-    def request(engine: Engine, txn: int):
-        call(engine, txn)
-        return None, []
-        yield  # a generator like every request
-
-    return request
+class RowVarRebound(EngineError):
+    code = "RowVarRebound"
 
 
-def _parking(call: Callable[[Engine, int], Generator], shape: Callable) -> Request:
-    """A request for an engine operation that can park; ``shape`` turns the
-    operation's result into the record's (values, images)."""
-    def request(engine: Engine, txn: int):
-        return shape((yield from call(engine, txn)))
-
-    return request
+class UnboundPredicate(EngineError):
+    code = "UnboundPredicate"
 
 
-def _begin(level: IsolationLevel) -> Request:
-    return _plain(lambda engine, txn: engine.begin(txn, level))
+class UnboundValueVar(EngineError):
+    code = "UnboundValueVar"
 
 
-_commit = _plain(lambda engine, txn: engine.commit(txn))
-_rollback = _plain(lambda engine, txn: engine.rollback(txn))
+def _row(engine: Engine, env: BindingEnv, name: str) -> int:
+    """The reckey row variable ``name`` is bound to; an unbound name binds
+    the first canonical row that no row variable claims."""
+    if name in env.row_vars:
+        return env.row_vars[name]
+    claimed = set(env.row_vars.values())
+    for key in range(100, 100 * engine.table.row_count + 1, 100):
+        if key not in claimed:
+            env.row_vars[name] = key
+            return key
+    raise RuntimeError("no canonical row left for auto binding")
 
 
-def _image(image: WriteImage):
-    return None, [image]
+def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
+    """Carry out one non-declarative step of transaction ``step.txn``.
 
-
-def _value_and_image(result):
-    value, image = result
-    return [value], [image]
-
-
-def handle_frame(engine: Engine, txn: int, request: Request) -> Frame:
-    """Start one request against the engine; the monitor steps the generator
-    it returns, and engine errors propagate out of those steps."""
-    return request(engine, txn)
+    The step's variables resolve on the generator's first ``next()``; engine
+    errors, and the binding errors above, propagate out of the monitor's
+    ``next()`` calls.  The value, row and new-key variables the result
+    carries are bound before it returns the record's (values, images).
+    """
+    k, txn = step.kind, step.txn
+    if k is OpKind.IL:
+        engine.begin(txn, step.level)
+    elif k is OpKind.C:
+        engine.commit(txn)
+    elif k is OpKind.A:
+        engine.rollback(txn)
+    elif k is OpKind.I:
+        if step.row_var in env.row_vars:
+            raise RowVarRebound(f"row variable {step.row_var} is already bound; inserts bind fresh rows")
+        values = dict(zip(step.column_spec, step.value_spec)) if step.column_spec else {}
+        env.row_vars[step.row_var], image = yield from engine.insert_item(txn, None, values)
+        return None, [image]
+    elif k is OpKind.W:
+        if step.value_var is None:
+            updates = None if step.literal is None else {"recval": step.literal}
+        elif step.value_var in env.value_vars:
+            updates = {"recval": env.value_vars[step.value_var]}
+        else:
+            raise UnboundValueVar(f"value variable {step.value_var} is unbound")
+        return None, [(yield from engine.write_item(txn, _row(engine, env, step.row_var), updates))]
+    elif k is OpKind.R or k is OpKind.RW:
+        key = _row(engine, env, step.row_var)
+        if k is OpKind.R:
+            value, images = (yield from engine.read_item(txn, key, "recval")), []
+        else:
+            value, image = yield from engine.rw_item(txn, key)
+            images = [image]
+        if step.value_var:
+            env.value_vars[step.value_var] = value
+        return [value], images
+    elif k is OpKind.D:
+        return None, [(yield from engine.delete_item(txn, _row(engine, env, step.row_var)))]
+    elif k in (OpKind.PR, OpKind.SU, OpKind.SS):
+        predicate = env.pred_vars.get(step.pred_var)
+        if predicate is None:
+            raise UnboundPredicate(f"predicate {step.pred_var} was never declared")
+        if k is OpKind.SU:
+            count, images = yield from engine.set_update(txn, predicate, step.literal)
+            return [count], images
+        if k is OpKind.SS:
+            return [(yield from engine.set_select(txn, predicate, step.aggregate))], []
+        rows = yield from engine.predicate_read(txn, step.pred_var, predicate, step.column_spec,
+                                                step.row_limit, step.aggregate)
+        if rows and not step.aggregate:
+            if step.row_var and step.row_var not in env.row_vars:
+                env.row_vars[step.row_var] = rows[-1][0]
+            if step.value_var and len(rows[-1]) > 1:
+                env.value_vars[step.value_var] = rows[-1][1]
+        return [t[0] if len(t) == 1 else t for t in rows], []
+    else:
+        raise ValueError(f"{k.value} is not an engine step")
+    return None, []
 
 
 # ----------------------------------------------------------------- monitor
@@ -134,7 +180,6 @@ def handle_frame(engine: Engine, txn: int, request: Request) -> Frame:
 @dataclass
 class _Pending:
     step: Step
-    op_text: str
     submit_seq: int
     blocked_seq: Optional[int] = None  # seq of the BLOCKED record, once emitted
 
@@ -148,7 +193,7 @@ class Monitor:
         self.env = BindingEnv()
         self.levels: Dict[int, IsolationLevel] = {}
         self.records: List[OutputRecord] = []
-        # txn -> (its started request, the lock request it is parked on, its
+        # txn -> (its frame, the lock request it is parked on, its
         # pending step: None for an implicit BEGIN)
         self.parked: Dict[int, Tuple[Frame, LockRequest, Optional[_Pending]]] = {}
         self.deferred: Dict[int, List[Step]] = {}
@@ -174,99 +219,6 @@ class Monitor:
             print(outhist._record_line(rec))
         return rec
 
-    # ------------------------------------------------------------- bindings
-
-    def _auto_bind_row(self, name: str) -> int:
-        claimed = set(self.env.row_vars.values())
-        for i in range(1, self.table.row_count + 1):
-            key = 100 * i
-            if key not in claimed:
-                self.env.row_vars[name] = key
-                return key
-        raise RuntimeError("no canonical row left for auto binding")
-
-    def _resolve_row(self, name: str) -> int:
-        if name in self.env.row_vars:
-            return self.env.row_vars[name]
-        return self._auto_bind_row(name)
-
-    def resolve_step(self, step: Step):
-        """Turn a non-declarative step into a :data:`Request`.
-
-        Returns (request, error): ``error`` is an (code, message) pair when
-        the step cannot be dispatched (unbound predicate, rebound row
-        variable, unbound value variable).
-        """
-        k = step.kind
-        if k is OpKind.IL:
-            return _begin(step.level), None
-        if k is OpKind.C:
-            return _commit, None
-        if k is OpKind.A:
-            return _rollback, None
-        if k is OpKind.I:
-            if step.row_var in self.env.row_vars:
-                return None, (
-                    "RowVarRebound",
-                    f"row variable {step.row_var} is already bound; inserts bind fresh rows",
-                )
-            values = dict(zip(step.column_spec, step.value_spec)) if step.column_spec else {}
-            return _parking(lambda engine, txn: engine.insert_item(txn, None, values),
-                            _value_and_image), None
-        if k in (OpKind.PR, OpKind.SU, OpKind.SS):
-            predicate = self.env.pred_vars.get(step.pred_var)
-            if predicate is None:
-                return None, ("UnboundPredicate", f"predicate {step.pred_var} was never declared")
-            return self._predicate_request(step, predicate), None
-        if k is OpKind.W:
-            if step.value_var is not None:
-                if step.value_var not in self.env.value_vars:
-                    return None, ("UnboundValueVar", f"value variable {step.value_var} is unbound")
-                updates = {"recval": self.env.value_vars[step.value_var]}
-            else:
-                updates = None if step.literal is None else {"recval": step.literal}
-            key = self._resolve_row(step.row_var)
-            return _parking(lambda engine, txn: engine.write_item(txn, key, updates), _image), None
-        if k not in (OpKind.R, OpKind.RW, OpKind.D):
-            raise ValueError(f"cannot resolve step kind {k}")
-        key = self._resolve_row(step.row_var)
-        if k is OpKind.R:
-            return _parking(lambda engine, txn: engine.read_item(txn, key, "recval"),
-                            lambda value: ([value], [])), None
-        if k is OpKind.RW:
-            return _parking(lambda engine, txn: engine.rw_item(txn, key), _value_and_image), None
-        return _parking(lambda engine, txn: engine.delete_item(txn, key), _image), None
-
-    @staticmethod
-    def _predicate_request(step: Step, predicate: PredicateExpr) -> Request:
-        if step.kind is OpKind.SU:
-            return _parking(lambda engine, txn: engine.set_update(txn, predicate, step.literal),
-                            lambda result: ([result[0]], result[1]))
-        if step.kind is OpKind.SS:
-            return _parking(lambda engine, txn: engine.set_select(txn, predicate, step.aggregate),
-                            lambda value: ([value], []))
-        return _parking(
-            lambda engine, txn: engine.predicate_read(txn, step.pred_var, predicate, step.column_spec,
-                                                      step.row_limit, step.aggregate),
-            lambda rows: ([t[0] if len(t) == 1 else t for t in rows], []),
-        )
-
-    def _apply_result_bindings(self, step: Step, values: list) -> None:
-        k = step.kind
-        if k in (OpKind.R, OpKind.RW) and step.value_var and values:
-            self.env.value_vars[step.value_var] = values[0]
-        elif k is OpKind.I:
-            if step.row_var and values:
-                self.env.row_vars[step.row_var] = values[0]  # the new key
-        elif k is OpKind.PR:
-            if values and not step.aggregate:
-                last = values[-1]
-                reckey = last[0] if isinstance(last, tuple) else last
-                if step.row_var and step.row_var not in self.env.row_vars:
-                    self.env.row_vars[step.row_var] = reckey
-                if step.value_var and isinstance(last, tuple) and len(last) > 1:
-                    self.env.value_vars[step.value_var] = last[1]
-
     # ------------------------------------------------------------- outcomes
 
     def _status_for_failure(self, code: str) -> Tuple[str, Optional[str]]:
@@ -285,59 +237,50 @@ class Monitor:
             if step.txn in self.parked:
                 self.deferred.setdefault(step.txn, []).append(step)
                 continue
+            self._submit_seq += 1
+            if step.kind in (OpKind.PRED, OpKind.MAP):
+                self._execute_declarative(step)
+                continue
             batch: list = []
-            if step.kind not in (OpKind.PRED, OpKind.MAP, OpKind.IL) and step.txn not in self.levels:
-                # implicit BEGIN: a request like any other that records nothing
-                level = self._default_level()
-                self.levels[step.txn] = level
-                self._start(step.txn, _begin(level), None, batch)
-            self._dispatch(step, batch)
+            if step.kind is not OpKind.IL and step.txn not in self.levels:
+                # implicit BEGIN: a step like any other that records nothing
+                level = self.levels[step.txn] = self._default_level()
+                begin = Step(OpKind.IL, step.txn, level=level)
+                self._step(step.txn, handle_frame(self.engine, self.env, begin), None, batch)
+            self._step(step.txn, handle_frame(self.engine, self.env, step),
+                       _Pending(step, self._submit_seq), batch)
             self._resume_settled(batch)
             work[:0] = self._record(batch)
         self.stuck = any(self.deferred.values())
         return self._finish()
 
-    def _dispatch(self, step: Step, batch: list) -> None:
-        self._submit_seq += 1
-        if step.kind in (OpKind.PRED, OpKind.MAP):
-            self._execute_declarative(step)
-            return
-        request, error = self.resolve_step(step)
-        op_text = render_step(step, self.env.row_vars, compact=True)
-        if error is not None:
-            self._emit(
-                OutputRecord(0, self._submit_seq, step.txn, op_text, STATUS_ERROR, error_code=error[0])
-            )
-            return
-        self._start(step.txn, request, _Pending(step, op_text, self._submit_seq), batch)
-
-    def _start(self, txn: int, request: Request, pend: Optional[_Pending], batch: list) -> None:
-        self._step(txn, handle_frame(self.engine, txn, request), pend, batch)
-
     def _step(self, txn: int, frame: Frame, pend: Optional[_Pending], batch: list) -> None:
-        """Run a started request until it completes or parks, and add
-        ``(event, outcome, pend)`` to ``batch``: ``event`` is the engine
-        event of its last effect, ``outcome`` its (values, images), the code
-        of the error it raised, or None while it is parked."""
+        """Run a step's frame until its engine call completes or parks, and
+        add ``(event, outcome, pend, op_text)`` to ``batch``: ``event`` is the
+        engine event of its last effect, ``outcome`` its (values, images),
+        the code of the error it raised, or None while it is parked, and
+        ``op_text`` the step with its row variables as they stand after this
+        run."""
         try:
             lock = next(frame)
         except StopIteration as done:
             outcome = done.value
         except EngineError as exc:
             outcome = exc.code
-        except Exception:  # an engine fault ends the request, not the run
+        except Exception:  # an engine fault ends the step, not the run
             traceback.print_exc()
             outcome = "InternalError"
         else:
             self.parked[txn] = (frame, lock, pend)
             outcome = None
-        state = self.engine.txns.get(txn)
         if pend is not None:
-            batch.append((state.last_event if state else 0, outcome, pend))
+            state = self.engine.txns.get(txn)
+            batch.append((state.last_event if state else 0, outcome, pend,
+                          render_step(pend.step, self.env.row_vars, compact=True)))
 
     def _resume_settled(self, batch: list) -> None:
-        """Resume the parked requests the engine has settled until none is
-        left, earliest settlement first: a resumed request may settle others.
+        """Resume the parked frames the engine has settled until none is
+        left, earliest settlement first: a resumed frame may settle others.
         Nothing stamps a parked transaction after its settlement, so its last
         event is the settlement's."""
         while True:
@@ -350,45 +293,32 @@ class Monitor:
 
     def _record(self, batch: list) -> List[Step]:
         """Record what completed or parked in engine event order; returns the
-        set-aside steps of the transactions whose request completed."""
+        set-aside steps of the transactions whose step completed."""
         resumed: List[Step] = []
-        for _, outcome, pend in sorted(batch, key=lambda item: item[0]):
+        for _, outcome, pend, op_text in sorted(batch, key=lambda item: item[0]):
             if outcome is not None:
-                self._complete(pend, outcome)
+                self._complete(pend, outcome, op_text)
                 resumed.extend(self.deferred.pop(pend.step.txn, []))
-            elif pend.blocked_seq is None:  # a re-park of a resumed request adds no record
+            elif pend.blocked_seq is None:  # a re-park of a resumed step adds no record
                 blocked = self._emit(
-                    OutputRecord(0, pend.submit_seq, pend.step.txn, pend.op_text, STATUS_BLOCKED)
+                    OutputRecord(0, pend.submit_seq, pend.step.txn, op_text, STATUS_BLOCKED)
                 )
                 pend.blocked_seq = blocked.seq
         return resumed
 
-    def _complete(self, pend: _Pending, outcome) -> None:
+    def _complete(self, pend: _Pending, outcome, op_text: str) -> None:
         step = pend.step
-        if isinstance(outcome, str):  # the code of the error the request raised
+        if isinstance(outcome, str):  # the code of the error the step raised
             status, error_code = self._status_for_failure(outcome)
-            self._emit(OutputRecord(0, pend.submit_seq, step.txn, pend.op_text, status,
+            self._emit(OutputRecord(0, pend.submit_seq, step.txn, op_text, status,
                                     error_code=error_code))
             return
         values, images = outcome
         if step.kind is OpKind.IL:
             self.levels[step.txn] = step.level
         status = STATUS_RESUMED if pend.blocked_seq is not None else STATUS_OK
-        self._apply_result_bindings(step, values or [])
-        op_text = render_step(step, self.env.row_vars, compact=True)
-        rec = OutputRecord(
-            0, pend.submit_seq, step.txn, op_text, status,
-            resumed_of=pend.blocked_seq,
-            values=self._record_values(step, values),
-            images=images,
-        )
-        self._emit(rec)
-
-    @staticmethod
-    def _record_values(step: Step, values) -> Optional[list]:
-        if step.kind in (OpKind.C, OpKind.A, OpKind.I):
-            return None
-        return values
+        self._emit(OutputRecord(0, pend.submit_seq, step.txn, op_text, status,
+                                resumed_of=pend.blocked_seq, values=values, images=images))
 
     def _execute_declarative(self, step: Step) -> None:
         status = STATUS_OK
@@ -434,7 +364,7 @@ def run_history(prog: HistoryProgram, config: Optional[ExecutorConfig] = None) -
     """Execute a parsed history and return its output history.
 
     A stuck run (steps remain but every one belongs to a transaction whose
-    request is parked) is reported through the header's ``stuck`` flag, not
+    engine call is parked) is reported through the header's ``stuck`` flag, not
     an exception.
     """
     return Monitor(prog, config).run()

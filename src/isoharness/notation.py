@@ -23,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 
 SCHEMA_COLUMN_SUFFIXES = (2, 3, 4, 5, 6, 50, 100)
@@ -168,7 +168,10 @@ class Or:
         return self.test(row_values)
 
 
-PredicateExpr = Union[Comparison, And, Or]
+if TYPE_CHECKING:
+    # Only for type checkers: typing caches subscripted generics, so at run
+    # time the union would keep the classes of every import alive.
+    PredicateExpr = Union[Comparison, And, Or]
 
 
 @dataclass

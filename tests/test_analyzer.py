@@ -1,19 +1,16 @@
 import pytest
 
 from isoharness.analyzer import (
-    UnclassifiableHistory,
     UnknownLevel,
     Verdict,
     analyze_history,
-    classify_history,
     detect_pairs,
     header_levels,
     judge,
     ru_write_records,
 )
 from isoharness.engine import EngineConfig, Strictness
-from isoharness.generator import generate_matrix, ru_scenario
-from isoharness.notation import IsolationLevel as IL, parse_history
+from isoharness.notation import IsolationLevel as IL
 from isoharness.outhist import parse_output
 
 from conftest import fast_config, run_text
@@ -210,29 +207,6 @@ def test_blocked_item_pair_still_detected_without_images():
     assert len(pairs) == 1
     assert pairs[0].cls == "r_w" and pairs[0].second_blocked
     assert pairs[0].membership_known
-
-
-# -------------------------------------------------------------- classify
-
-
-def test_classify_generated_history():
-    prog = generate_matrix(classes=("w_pr",), levels=(IL.RC,))[0]
-    assert classify_history(prog) == "w_pr"
-
-
-def test_classify_freeform_rejected():
-    with pytest.raises(UnclassifiableHistory):
-        classify_history(parse_history("W1(A, 1) C1"))
-
-
-def test_classify_empty_rejected():
-    with pytest.raises(UnclassifiableHistory):
-        classify_history(parse_history(""))
-
-
-def test_classify_ru_scenario_rejected():
-    with pytest.raises(UnclassifiableHistory):
-        classify_history(ru_scenario())
 
 
 # ------------------------------------------------- oracle cross-validation

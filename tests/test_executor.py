@@ -5,7 +5,8 @@ import pytest
 
 from isoharness.analyzer import Verdict, analyze_history
 from isoharness.engine import Engine, EngineConfig, LockScope, RowNotFound
-from isoharness.executor import Monitor, handle_frame, run_history
+from isoharness.dataset import build_canonical_table
+from isoharness.executor import BindingEnv, handle_frame, run_history
 from isoharness.notation import IsolationLevel, parse_history, parse_predicate
 from isoharness.outhist import (
     STATUS_BLOCKED,
@@ -110,9 +111,11 @@ def test_value_variable_flows_between_transactions():
 
 
 def test_unbound_value_variable_errors():
+    # the record shows the row as it stood when resolution failed: unbound
     oh, _ = run_text("IL1(RC) W1(A, X9) C1")
     rec = oh.records[1]
     assert rec.status == STATUS_ERROR and rec.error_code == "UnboundValueVar"
+    assert "2 2 W1(A,X9) ERROR=UnboundValueVar" in serialize(oh).splitlines()
 
 
 def test_unbound_predicate_errors():
@@ -131,6 +134,7 @@ def test_insert_on_bound_row_var_rejected():
     oh, _ = run_text("MAP(A, 100) IL1(RC) I1(A) C1")
     rec = oh.records[2]
     assert rec.status == STATUS_ERROR and rec.error_code == "RowVarRebound"
+    assert "3 3 I1(A=100) ERROR=RowVarRebound" in serialize(oh).splitlines()
 
 
 def test_map_rebind_conflict():
@@ -145,50 +149,57 @@ def test_pr_binds_row_and_value_vars():
     assert mon.env.value_vars["X"] == 20000
 
 
-# --------------------------------------------------------------- requests
+# ------------------------------------------------------------------ frames
 
 
-def _requester(**predicates):
-    """A monitor with ``predicates`` declared and transaction 1 begun at RC,
-    and a function that resolves one step of transaction 1 and runs its
-    request on the monitor's engine."""
-    mon = Monitor(parse_history("IL1(RC)"), fast_config())
-    mon.env.pred_vars.update((name, parse_predicate(text)) for name, text in predicates.items())
-    mon.engine.begin(1, IsolationLevel.RC)
+def _stepper(**predicates):
+    """An engine with transaction 1 begun at RC, a binding environment with
+    ``predicates`` declared, and a function that carries out one step of
+    transaction 1 through :func:`handle_frame`, with no monitor around it."""
+    engine = Engine(build_canonical_table(200), EngineConfig())
+    env = BindingEnv(pred_vars={name: parse_predicate(text) for name, text in predicates.items()})
+    engine.begin(1, IsolationLevel.RC)
 
     def run(step_text):
-        request, error = mon.resolve_step(parse_history(step_text).steps[0])
-        assert error is None
-        return finish(handle_frame(mon.engine, 1, request))
+        return finish(handle_frame(engine, env, parse_history(step_text).steps[0]))
 
-    return mon, run
+    return engine, env, run
 
 
 def test_read_frame_response():
-    _, run = _requester()
+    _, env, run = _stepper()
     assert run("R1(A)") == ([10000], [])  # A auto-binds to row 100
+    assert env.row_vars == {"A": 100}
+
+
+def test_frame_binds_what_its_result_carries():
+    _, env, run = _stepper(P="k2=1 and k3<2")
+    assert run("PR1(P;recval;1;A, X)") == ([(200, 20000)], [])
+    assert env.row_vars == {"A": 200} and env.value_vars == {"X": 20000}
+    values, images = run("I1(B)")
+    assert values is None and [img.reckey for img in images] == [150]
+    assert env.row_vars == {"A": 200, "B": 150}
 
 
 def test_missing_row_failure_frame():
-    mon, _ = _requester()
-    mon.env.row_vars["A"] = 99999
-    request, _ = mon.resolve_step(parse_history("W1(A, 7)").steps[0])
+    engine, env, _ = _stepper()
+    env.row_vars["A"] = 99999
     with pytest.raises(RowNotFound) as info:
-        finish(handle_frame(mon.engine, 1, request))
+        finish(handle_frame(engine, env, parse_history("W1(A, 7)").steps[0]))
     assert info.value.code == "RowNotFound"
 
 
 def test_pr_frame_roundtrip():
-    mon, run = _requester(P="(k2=1)and(k3<2)", Q="k2=1")
+    engine, _, run = _stepper(P="(k2=1)and(k3<2)", Q="k2=1")
     assert run("PR1(P;recval;1)") == ([(200, 20000)], [])
     values, images = run("PR1(P;reckey;all)")
     assert values[:2] == [400, 800] and not images  # continues past position 200
-    assert "P" not in mon.engine.txns[1].cursors  # the drain closed the cursor
+    assert "P" not in engine.txns[1].cursors  # the drain closed the cursor
     assert run("PR1(Q;count(*);1)") == ([100], [])
 
 
 def test_su_and_ss_frames():
-    _, run = _requester(P="reckey=100", S="reckey<=200")
+    _, _, run = _stepper(P="reckey=100", S="reckey<=200")
     values, images = run("SU1(P, 5)")
     assert values == [1]
     assert [(img.reckey, img.before.values["recval"], img.after.values["recval"])

@@ -1,6 +1,6 @@
 import pytest
 
-from isoharness.analyzer import classify_history, detect_pairs
+from isoharness.analyzer import detect_pairs
 from isoharness.executor import Monitor
 from isoharness.generator import (
     ALL_CLASSES,
@@ -68,7 +68,7 @@ def test_all_variants_instantiate_and_parse():
 
 def test_each_generated_history_has_one_intended_pair():
     for prog in generate_matrix():
-        cls = classify_history(prog)
+        cls = prog.metadata["class"]
         monitor = Monitor(prog, fast_config())
         output = monitor.run()
         assert not output.header.stuck, prog.source_name

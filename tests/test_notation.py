@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import isoharness
 from isoharness.notation import (
     And,
     Comparison,
@@ -349,3 +354,26 @@ def test_random_program_roundtrip(step_texts):
     except SemanticError:
         return
     assert parse_history(render_history(prog)) == prog
+
+
+_REIMPORT = """
+import gc, sys, weakref
+sys.path.insert(0, sys.argv[1])
+import isoharness
+isoharness.run_history(isoharness.parse_history("PRED(P, k2=1) IL1(RC) PR1(P;reckey;1) W1(A, 5) C1"))
+old = weakref.ref(sys.modules["isoharness.notation"].Comparison)
+for name in [n for n in sys.modules if n.split(".")[0] == "isoharness"]:
+    del sys.modules[name]
+del isoharness
+import isoharness
+gc.collect()
+sys.exit(old() is not None)
+"""
+
+
+def test_reimport_releases_the_old_notation_classes():
+    # A fresh import must not keep the previous import's classes alive (a
+    # run-time typing alias naming them would, through typing's cache).  In
+    # a subprocess, so this suite's own modules are not swapped.
+    src = str(Path(isoharness.__file__).resolve().parents[1])
+    assert subprocess.run([sys.executable, "-c", _REIMPORT, src]).returncode == 0
