@@ -61,6 +61,9 @@ class CanonicalTable:
     #: Every key of ``rows``, tombstones included, in ascending order.  Keys
     #: are added and removed only through :meth:`put` and :meth:`drop`.
     keys: List[int] = field(init=False)
+    #: Bumped by every change to the rows, :meth:`put`, :meth:`drop` and the
+    #: engine's in-place edits: a walk that finds it unchanged still stands.
+    version: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
         self.keys = sorted(self.rows)
@@ -69,10 +72,12 @@ class CanonicalTable:
         if key not in self.rows:
             insort(self.keys, key)
         self.rows[key] = row
+        self.version += 1
 
     def drop(self, key: int) -> None:
         if self.rows.pop(key, None) is not None:
             del self.keys[bisect_left(self.keys, key)]
+            self.version += 1
 
     def keys_ascending(self) -> list:
         """The sorted key list itself, not a copy."""

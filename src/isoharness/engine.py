@@ -52,6 +52,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from .dataset import CanonicalTable, Row, eval_predicate
@@ -605,6 +606,7 @@ class Engine:
             row.tombstone = True
         else:
             row.values.update(after)
+        self.table.version += 1
         image = WriteImage(reckey, before, None if after is None else Row(after))
         st.log_undo(image)
         return image
@@ -690,6 +692,7 @@ class Engine:
         grant.intent = None
         if reserve_now:
             self.table.rows[key].tombstone = False
+            self.table.version += 1
             return key, image
         existing = self.table.rows.get(key)
         if existing is not None and not existing.tombstone:
@@ -707,37 +710,30 @@ class Engine:
 
     def _matches(self, predicate: PredicateExpr, after: int = 0):
         """Keys of the live rows above ``after`` that satisfy the predicate,
-        ascending.  Consume before the operation parks again."""
-        keys, rows = self.table.keys, self.table.rows
-        for i in range(bisect_right(keys, after), len(keys)):
-            key = keys[i]
-            row = rows[key]
-            if row.tombstone:
-                continue
-            if eval_predicate(row, predicate):
-                yield key
+        ascending: one walk of the key list, started by index.  It stands
+        while ``table.version`` is unchanged."""
+        keys, rows, test = self.table.keys, self.table.rows, predicate.test
+        return (key for i in range(bisect_right(keys, after), len(keys))
+                if not (row := rows[(key := keys[i])]).tombstone and test(row.values))
 
     def _scan_lock_plan(self, st: TxnState, cursor: CursorState, to_key: float):
         """Next range resource needed to cover keys up to ``to_key``, or None."""
         if st.level == IsolationLevel.RU or self.config.lock_scope is LockScope.PREDICATE:
             return None
-        if self.config.lock_scope is LockScope.TABLE:
-            # no usable index: the first fetch scans (and locks) everything
-            to_key = _INF
-        if cursor.frontier >= to_key:
-            return None
-        return RangeResource(cursor.frontier, to_key)
+        # no usable index in table scope: the first fetch scans (and locks) everything
+        high = _INF if self.config.lock_scope is LockScope.TABLE else to_key
+        return RangeResource(cursor.frontier, high) if cursor.frontier < high else None
 
     def _scan(self, txn: int, pred_var: Optional[str], predicate: PredicateExpr,
               columns: Optional[tuple], row_limit, aggregate: Optional[str],
               ) -> Generator[LockRequest, None, list]:
         """The one predicate read, behind PR and SS: rows, or one aggregate
         row, from the cursor's position; with no ``pred_var``, from a cursor
-        of its own that is never stored.  Each pass walks the matches once,
-        stopping only to wait for the range lock the next key needs; the next
-        pass walks again from the cursor, so a row that changed meanwhile is
-        evaluated again.  An aggregate first locks the rest of the key
-        range."""
+        of its own that is never stored.  A fetch walks the matches once; a
+        wait for a range lock lets it go on where it stopped unless the table
+        changed meanwhile, and then it walks again from the cursor, so a row
+        that changed is evaluated again.  An aggregate first locks the rest
+        of the key range."""
         drain = row_limit == "all"
         st = self._require_active(txn)
         cursor = CursorState() if pred_var is None else st.cursors.get(pred_var)
@@ -748,43 +744,44 @@ class Engine:
             cursor = st.cursors[pred_var] = CursorState()
         duration = self._read_duration(st.level, predicate=True)
         short: list = []
-        rows: list = []
-        need = None
         try:
             # Predicate-scope locking: one shared lock on the predicate itself.
             if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
                 yield from self._read_lock(st, PredicateResource(predicate), duration, short)
-            while True:
-                if need is not None:  # the wait is over: the range is held
-                    cursor.frontier = need.high
-                need = self._scan_lock_plan(st, cursor, _INF) if aggregate else None
-                if need is None:
-                    total = 0
-                    for key in self._matches(predicate, 0 if aggregate else cursor.position):
-                        values = self.table.rows[key].values
-                        if aggregate:
-                            total += 1 if aggregate == "count" else values["recval"]
-                            continue
-                        need = self._scan_lock_plan(st, cursor, key)
-                        if need is not None:
-                            break
-                        rows.append((key,) if columns == ("reckey",) else
-                                    (key, *(values[c] for c in columns)))
-                        cursor.position = key
-                        if len(rows) == row_limit:
-                            break
-                    else:
-                        cursor.exhausted = True
-                        if aggregate:
-                            rows.append((total,))
-                        elif drain:
-                            need = self._scan_lock_plan(st, cursor, _INF)
-                if need is None:
-                    self._stamp(st)
-                    if drain:
-                        st.cursors.pop(pred_var, None)
-                    return rows
+            need = self._scan_lock_plan(st, cursor, _INF)
+            if need is not None and aggregate:
                 yield from self._read_lock(st, need, duration, short)
+                cursor.frontier, need = need.high, None
+            walked, matches = self.table.version, self._matches(predicate, cursor.position)
+            by_key = self.table.rows
+            if aggregate:
+                rows = [(sum(1 if aggregate == "count" else by_key[key].values["recval"]
+                             for key in matches),)]
+            elif need is None:  # no range left to lock: the walk never stops
+                keys = list(islice(matches, None if drain else row_limit))
+            else:  # stop at each match beyond the frontier to lock the range up to it
+                keys, key = [], next(matches, _INF)
+                while len(keys) != row_limit and (key < _INF or drain and cursor.frontier < _INF):
+                    need = self._scan_lock_plan(st, cursor, key)
+                    if need is None:
+                        keys.append(key)
+                        key = next(matches, _INF)
+                        continue
+                    yield from self._read_lock(st, need, duration, short)
+                    cursor.frontier = need.high
+                    if walked != self.table.version:  # the table changed during the wait
+                        walked = self.table.version
+                        matches = self._matches(predicate, keys[-1] if keys else cursor.position)
+                        key = next(matches, _INF)
+            if not aggregate:
+                cursor.exhausted |= drain or len(keys) < row_limit
+                cursor.position = keys[-1] if keys else cursor.position
+                rows = [(key,) if columns == ("reckey",) else
+                        (key, *(by_key[key].values[c] for c in columns)) for key in keys]
+            self._stamp(st)
+            if drain:
+                st.cursors.pop(pred_var, None)
+            return rows
         except GeneratorExit:  # closed while parked: the run is over, release nothing
             short.clear()
             raise

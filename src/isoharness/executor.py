@@ -81,6 +81,8 @@ class BindingEnv:
     row_vars: Dict[str, int] = field(default_factory=dict)
     value_vars: Dict[str, int] = field(default_factory=dict)
     pred_vars: Dict[str, PredicateExpr] = field(default_factory=dict)
+    #: Row variables an insert under way will bind; no other step may name them.
+    inserting: set = field(default_factory=set)
 
 
 # -------------------------------------------------------------------- steps
@@ -120,6 +122,8 @@ def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
     carries are bound before it returns the record's (values, images).
     """
     k, txn = step.kind, step.txn
+    if step.row_var in env.inserting:
+        raise RowVarRebound(f"row variable {step.row_var} is bound by an insert under way")
     if k is OpKind.IL:
         engine.begin(txn, step.level)
     elif k is OpKind.C:
@@ -130,7 +134,11 @@ def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
         if step.row_var in env.row_vars:
             raise RowVarRebound(f"row variable {step.row_var} is already bound; inserts bind fresh rows")
         values = dict(zip(step.column_spec, step.value_spec)) if step.column_spec else {}
-        env.row_vars[step.row_var], image = yield from engine.insert_item(txn, None, values)
+        env.inserting.add(step.row_var)
+        try:
+            env.row_vars[step.row_var], image = yield from engine.insert_item(txn, None, values)
+        finally:
+            env.inserting.discard(step.row_var)
         return None, [image]
     elif k is OpKind.W:
         if step.value_var is None:
@@ -327,7 +335,7 @@ class Monitor:
             self.env.pred_vars[step.pred_var] = step.predicate
         else:  # MAP
             bound = self.env.row_vars.get(step.row_var)
-            if bound is not None and bound != step.literal:
+            if step.row_var in self.env.inserting or bound not in (None, step.literal):
                 status, code = STATUS_ERROR, "RowVarRebound"
             else:
                 self.env.row_vars[step.row_var] = step.literal

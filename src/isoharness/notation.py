@@ -19,7 +19,6 @@ names the line and column of its fault, inside a ``PRED`` expression too.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -104,68 +103,59 @@ ROW_LIMIT_ALL = "all"
 
 RelOp = str  # one of = < > <= >= <>
 
-_REL_OPS = ("<=", ">=", "<>", "=", "<", ">")
-
-#: The operators but "=", which a comparison compiles to an inline ``==``.
-_REL_FUNCS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,
-              "<>": operator.ne}
+#: Each relational operator, with the Python operator it compiles to.
+_REL_OPS = {"=": "==", "<>": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 
-# And/Or fold their items' tests into nested binary closures: a generator
-# under all() or any() costs several times more per row.
-def _both(f, g):
-    return lambda v: f(v) and g(v)
+@functools.lru_cache(maxsize=256)
+def _compile(source: str):
+    """The function of a row's values ``v`` that ``source`` computes: one per
+    text, as each judged history parses its predicates again."""
+    return eval("lambda v: " + source, {})
 
 
-def _either(f, g):
-    return lambda v: f(v) or g(v)
+class _Node:
+    """A predicate; ``source`` renders it as a Python expression over ``v``."""
+
+    @functools.cached_property
+    def test(self):
+        """``holds`` compiled to one function, so a row costs one call."""
+        return _compile(self.source)
+
+    def holds(self, row_values) -> bool:
+        return self.test(row_values)
 
 
 @dataclass(frozen=True)
-class Comparison:
+class Comparison(_Node):
     column: str
     op: RelOp
     value: int
 
-    @functools.cached_property
-    def test(self):
-        """``holds`` compiled once per predicate object."""
-        col, k = self.column, self.value
-        if self.op == "=":
-            return lambda v: v[col] == k
-        rel = _REL_FUNCS[self.op]
-        return lambda v: rel(v[col], k)
-
-    def holds(self, row_values) -> bool:
-        return self.test(row_values)
+    @property
+    def source(self) -> str:
+        # repr(column) and int(value) alone: no field can inject code
+        return f"v[{self.column!r}] {_REL_OPS[self.op]} {int(self.value)}"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     items: tuple
 
-    @functools.cached_property
-    def test(self):
-        if not self.items:
-            return lambda v: True
-        return functools.reduce(_both, (item.test for item in self.items))
-
-    def holds(self, row_values) -> bool:
-        return self.test(row_values)
+    @property
+    def source(self) -> str:
+        # ``and`` binds tighter than ``or``: only an Or item needs parentheses
+        return " and ".join(f"({item.source})" if isinstance(item, Or) else item.source
+                            for item in self.items) or "True"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     items: tuple
 
-    @functools.cached_property
-    def test(self):
-        if not self.items:
-            return lambda v: False
-        return functools.reduce(_either, (item.test for item in self.items))
-
-    def holds(self, row_values) -> bool:
-        return self.test(row_values)
+    @property
+    def source(self) -> str:
+        return " or ".join(item.source for item in self.items) or "False"
 
 
 if TYPE_CHECKING:

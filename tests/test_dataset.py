@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from isoharness import engine as engine_module
 from isoharness.dataset import (
     InvalidRowCount,
     Row,
@@ -193,38 +192,36 @@ def test_evaluated_predicate_keeps_equality_and_hash(pred):
     assert pred == twin and hash(pred) == hash(twin)
 
 
-def test_engine_scan_makes_one_holds_call_per_examined_row(monkeypatch):
+def test_engine_scan_makes_one_holds_call_per_examined_row():
+    # A predicate is compiled to one function: a row costs one call of the
+    # whole predicate's test, and no node under it is called on its own.
     pred = parse_predicate("k2=0 and (k3=1 or (k5<2 and c100<>4))")
-    examined = 0
-    holds_calls = 0
+    calls = 0
     nested = 0
     depth = 0
 
-    def counting_eval(row, predicate):
-        nonlocal examined
-        examined += 1
-        return eval_predicate(row, predicate)
+    def count_tests(node):
+        test = node.test
 
-    def counting_holds(fn):
-        def holds(self, row_values):
-            nonlocal holds_calls, nested, depth
-            holds_calls += 1
+        def counted(row_values):
+            nonlocal calls, nested, depth
+            calls += 1
             nested += depth > 0
             depth += 1
             try:
-                return fn(self, row_values)
+                return test(row_values)
             finally:
                 depth -= 1
-        return holds
 
-    monkeypatch.setattr(engine_module, "eval_predicate", counting_eval)
-    for cls in (Comparison, And, Or):
-        monkeypatch.setattr(cls, "holds", counting_holds(cls.holds))
+        object.__setattr__(node, "test", counted)  # this object's test only
+        for item in getattr(node, "items", ()):
+            count_tests(item)
+
+    count_tests(pred)
     e = Engine(build_canonical_table(600), EngineConfig())
     e.begin(1, IsolationLevel.RC)
     rows = finish(e.predicate_read(1, "P", pred, ("reckey",), "all"))
-    assert examined == 600
-    assert holds_calls == examined and nested == 0
+    assert calls == 600 and nested == 0
     assert len(rows) == sum(eval_pred_oracle(pred, r) for r in table_rows_oracle(600))
 
 

@@ -782,8 +782,21 @@ def _lines_run_in(code, fn) -> int:
     return lines
 
 
-def _drain(e):
-    e.predicate_read(1, "P", parse_predicate("k2=0 and k3=0"), ("reckey",), "all")
+def _drain(e) -> int:
+    """Drain ``k2=0 and k3=0`` in transaction 1; returns the rows examined,
+    counted as calls of the predicate's compiled test."""
+    pred = parse_predicate("k2=0 and k3=0")
+    test = pred.test
+    examined = 0
+
+    def counted(values):
+        nonlocal examined
+        examined += 1
+        return test(values)
+
+    object.__setattr__(pred, "test", counted)  # this object's test only
+    e.predicate_read(1, "P", pred, ("reckey",), "all")
+    return examined
 
 
 @pytest.mark.parametrize("scope", [LockScope.PREDICATE, LockScope.INCREMENTAL_RANGE])
@@ -792,9 +805,38 @@ def test_drain_visits_grow_linearly_with_table(scope):
     for rows in (200, 2000):
         e = make_engine(rows, scope)
         e.begin(1, IL.RC)
-        steps[rows] = _lines_run_in(Engine._matches.__code__, lambda: _drain(e))
+        steps[rows] = _drain(e)
     assert steps[200] > 0
     assert steps[2000] <= 12 * steps[200], steps  # quadratic would be ~100
+
+
+@pytest.mark.parametrize("scope", [LockScope.INCREMENTAL_RANGE, LockScope.TABLE])
+def test_drain_with_no_waits_examines_each_live_row_once(scope):
+    # Every range lock is granted at once, so the table never changes under
+    # the walk and it goes on where it stopped instead of walking again.
+    e = make_engine(2000, scope)
+    e.begin(1, IL.RC)
+    e.delete_item(1, 700)  # its own tombstone is not a live row
+    assert _drain(e) == 1999
+
+
+@pytest.mark.parametrize("changed", [700, 150])
+def test_range_wait_that_changes_the_table_walks_again(changed):
+    # T1's drain waits for the range up to T2's uncommitted insert of 150.
+    # Meanwhile T2 takes a row out of the predicate: a later match (700) or
+    # the row the walk stopped on (150).  The table changed during the wait,
+    # so the resumed fetch walks again from its cursor and leaves it out.
+    pred = parse_predicate("k2=0 and k3=0")
+    e = make_engine(2000, LockScope.INCREMENTAL_RANGE)
+    e.begin(1, IL.RC)
+    e.begin(2, IL.RC)
+    e.insert_item(2, 150)
+    drain = OpThread(e.predicate_read, 1, "P", pred, ("reckey",), "all")
+    assert drain.still_blocked()
+    e.write_item(2, changed, {"k2": 1})
+    e.commit(2)
+    expected = sorted(({150} | {100 * (i + 1) for i in range(0, 2000, 6)}) - {changed})
+    assert [key for key, in drain.outcome()] == expected
 
 
 def test_incremental_drain_conflict_checks_grow_linearly(monkeypatch):

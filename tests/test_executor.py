@@ -137,6 +137,38 @@ def test_insert_on_bound_row_var_rejected():
     assert "3 3 I1(A=100) ERROR=RowVarRebound" in serialize(oh).splitlines()
 
 
+def test_parked_insert_claims_its_row_variable():
+    # I2 parks behind T1's predicate lock.  Until it completes, B belongs to
+    # it: W1(B) fails with no engine effect instead of auto-binding row 100,
+    # and R2 reads the row the insert bound.
+    oh, mon = run_text(
+        "PRED(P, reckey<=200) IL1(SR) IL2(RC) PR1(P;reckey;all) I2(B) W1(B, 5) R2(B, X) C1 C2")
+    lines = serialize(oh).splitlines()
+    assert "5 5 I2(B) BLOCKED" in lines
+    assert "6 6 W1(B,5) ERROR=RowVarRebound" in lines
+    assert any(line.startswith("8 5 I2(B=150) RESUMED=5 BEFORE=ABSENT ") for line in lines)
+    assert "9 8 R2(B=150,X) OK VALUES=15000" in lines
+    assert mon.engine.table.rows[100].values["recval"] == 10000
+    assert mon.env.row_vars == {"B": 150}
+
+
+def test_parked_insert_row_variable_rejects_map_and_predicate_binding():
+    oh, mon = run_text(
+        "PRED(P, reckey<=200) IL1(SR) IL2(RC) PR1(P;reckey;all) I2(B) MAP(B, 300) "
+        "PR1(P;recval;1;B, X) C1 C2")
+    lines = serialize(oh).splitlines()
+    assert "6 6 MAP(B,300) ERROR=RowVarRebound" in lines
+    assert "7 7 PR1(P;recval;1;B,X) ERROR=RowVarRebound" in lines
+    assert mon.env.row_vars == {"B": 150} and "X" not in mon.env.value_vars
+
+
+def test_failed_insert_releases_its_row_variable():
+    oh, _ = run_text("IL1(RU) IL2(RC) I1(B) W2(B, 5) C1 C2")
+    lines = serialize(oh).splitlines()
+    assert "3 3 I1(B) READONLY_VIOLATION" in lines
+    assert any(line.startswith("4 4 W2(B=100,5) OK ") for line in lines)
+
+
 def test_map_rebind_conflict():
     oh, _ = run_text("MAP(A, 100) MAP(A, 300)")
     assert oh.records[1].status == STATUS_ERROR

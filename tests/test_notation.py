@@ -23,6 +23,8 @@ from isoharness.notation import (
     render_step,
 )
 
+from oracles import eval_pred_oracle
+
 
 def test_map_step():
     prog = parse_history("MAP(A, 100)")
@@ -237,6 +239,47 @@ def test_predicate_render_roundtrip():
         assert parse_predicate(render_predicate(expr)) == expr
         assert parse_predicate(render_predicate(expr, compact=True)) == expr
         assert " " not in render_predicate(expr, compact=True)
+
+
+# --- compiled predicates ---
+
+
+@pytest.mark.parametrize("op", ["=", "<>", "<", ">", "<=", ">="])
+def test_compiled_comparison_agrees_with_oracle(op):
+    for value in (-3, -1, 0, 2):
+        pred = Comparison("k2", op, value)
+        for x in range(-4, 4):
+            assert pred.test({"k2": x}) == eval_pred_oracle(pred, {"k2": x}), (value, x)
+
+
+def test_empty_and_is_true_and_empty_or_is_false():
+    assert And(()).test({}) is True
+    assert Or(()).test({}) is False
+    assert Or((And(()), Or(()))).test({}) and not And((And(()), Or(()))).test({})
+
+
+def test_predicate_nested_50_levels_compiles():
+    pred = Comparison("k2", "=", 0)
+    for depth in range(50):
+        pred = (And if depth % 2 else Or)((Comparison("k3", "=", depth), pred))
+    for values in ({"k2": 0, "k3": 100}, {"k2": 1, "k3": 49}, {"k2": 1, "k3": 48}, {"k2": 0, "k3": 1}):
+        assert pred.test(values) == eval_pred_oracle(pred, values), values
+
+
+def test_comparison_fields_cannot_inject_code(capsys):
+    with pytest.raises(KeyError):  # the column is only ever a key
+        Comparison("k2'] or print('x') or v['k2", "=", 0).test({"k2": 0})
+    with pytest.raises(KeyError):  # an operator is one of the six
+        Comparison("k2", "== 0 or print('x') or 0 ==", 0).test({"k2": 0})
+    with pytest.raises(ValueError):  # a value is an integer
+        Comparison("k2", "=", "0 or print('x')").test({"k2": 0})
+    assert capsys.readouterr().out == ""
+
+
+def test_equal_predicates_share_one_compiled_function():
+    text = "k2=0 and (k3=1 or k5<2)"
+    first, second = parse_predicate(text), parse_predicate(text)
+    assert first is not second and first.test is second.test
 
 
 # --- rendering ---
