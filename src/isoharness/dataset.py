@@ -8,14 +8,17 @@ index is the sorted list of reckeys, which incremental range locking follows
 
 The kN/cN values repeat every 300 rows, so each row is a copy of one of 300
 template rows, keyed in ``SCHEMA_COLUMNS`` order, with its reckey and recval set.
+Tables of one size share these rows, built once; a table owns only its row
+dict and key list, so a row changes only by a new one put in its place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from .notation import SCHEMA_COLUMN_SUFFIXES, SCHEMA_COLUMNS
 
@@ -58,15 +61,17 @@ def initial_row(i: int) -> Row:
 class CanonicalTable:
     rows: Dict[int, Row] = field(default_factory=dict)
     row_count: int = 0
-    #: Every key of ``rows``, tombstones included, in ascending order.  Keys
-    #: are added and removed only through :meth:`put` and :meth:`drop`.
-    keys: List[int] = field(init=False)
-    #: Bumped by every change to the rows, :meth:`put`, :meth:`drop` and the
-    #: engine's in-place edits: a walk that finds it unchanged still stands.
+    #: Every key of ``rows``, tombstones included, in ascending order; sorted
+    #: from ``rows`` unless given.  Keys are added and removed only through
+    #: :meth:`put` and :meth:`drop`.
+    keys: Optional[List[int]] = None
+    #: Bumped by every change to the rows, which is a :meth:`put` or a
+    #: :meth:`drop`: a walk that finds it unchanged still stands.
     version: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
-        self.keys = sorted(self.rows)
+        if self.keys is None:
+            self.keys = sorted(self.rows)
 
     def put(self, key: int, row: Row) -> None:
         if key not in self.rows:
@@ -100,17 +105,26 @@ _PERIOD = math.lcm(*SCHEMA_COLUMN_SUFFIXES)
 _TEMPLATES = tuple(initial_row(i).values for i in range(1, _PERIOD + 1))
 
 
-def build_canonical_table(row_count: int = DEFAULT_ROW_COUNT) -> CanonicalTable:
-    """A fresh table: the engine mutates ``Row.values`` in place."""
-    if row_count <= 0 or row_count % 100 != 0:
-        raise InvalidRowCount(f"row count must be a positive multiple of 100, got {row_count}")
+@functools.lru_cache(maxsize=4)
+def _canonical_rows(row_count: int) -> tuple:
+    """The canonical ``Row`` objects by reckey, and the sorted reckeys: built
+    once per row count and shared by every table of that size."""
     rows = {}
     for i in range(1, row_count + 1):
         values = _TEMPLATES[(i - 1) % _PERIOD].copy()
         values["reckey"] = 100 * i
         values["recval"] = 10000 * i
         rows[100 * i] = Row(values)
-    return CanonicalTable(rows=rows, row_count=row_count)
+    return rows, list(rows)
+
+
+def build_canonical_table(row_count: int = DEFAULT_ROW_COUNT) -> CanonicalTable:
+    """A fresh table over the shared canonical rows, which nothing may edit:
+    the engine writes by putting a new ``Row``."""
+    if row_count <= 0 or row_count % 100 != 0:
+        raise InvalidRowCount(f"row count must be a positive multiple of 100, got {row_count}")
+    rows, keys = _canonical_rows(row_count)
+    return CanonicalTable(rows=rows.copy(), row_count=row_count, keys=keys.copy())
 
 
 def eval_predicate(row: Row, predicate: PredicateExpr) -> bool:

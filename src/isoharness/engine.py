@@ -27,7 +27,9 @@ A lock request and its grant are one record (:class:`LockRequest`): once
 granted, the request itself is held in the lock table.  Every write to an
 existing row (W, RW, D, and each row of a set update) takes one path,
 ``Engine._write_row``: the LONG exclusive lock, then a re-check of the
-row, the before image, the change and its undo entry.
+row, a new ``Row`` put in its place (a tombstoned one for a delete) and an
+undo entry whose before image is the old ``Row`` itself.  No write edits a
+``Row``: the table's rows start as the canonical rows every table shares.
 
 The operations that can wait for a lock are generators: ``read_item``,
 ``write_item``, ``rw_item``, ``delete_item``, ``insert_item``,
@@ -301,7 +303,7 @@ class Engine:
             if img.before is None:
                 self.table.drop(img.reckey)
             else:
-                self.table.put(img.reckey, Row(dict(img.before.values)))
+                self.table.put(img.reckey, img.before)
         st.clear_undo()
         st.cursors.clear()
         st.status = TxnStatus.ABORTED
@@ -600,14 +602,10 @@ class Engine:
             predicate is not None and not eval_predicate(row, predicate)
         ):
             return None
-        before = row.copy()
         after = after_of(row.values)
-        if after is None:
-            row.tombstone = True
-        else:
-            row.values.update(after)
-        self.table.version += 1
-        image = WriteImage(reckey, before, None if after is None else Row(after))
+        image = WriteImage(reckey, row, None if after is None else Row(after))
+        # a delete leaves a tombstone over the old values until its commit
+        self.table.put(reckey, image.after or Row(row.values, tombstone=True))
         st.log_undo(image)
         return image
 
@@ -680,9 +678,8 @@ class Engine:
         if reserve_now:
             # Reserve the key as an invisible row so concurrent inserts
             # allocate elsewhere; visible once the lock is held.
-            row = Row(values, tombstone=True)
-            self.table.put(key, row)
-            image = WriteImage(key, None, Row(dict(values)))
+            self.table.put(key, Row(values, tombstone=True))
+            image = WriteImage(key, None, Row(values))
             st.log_undo(image)
         grant, _ = yield from self._acquire(
             st, ItemResource(key), LockMode.X, LockDuration.LONG,
@@ -691,15 +688,13 @@ class Engine:
         self._stamp(st)
         grant.intent = None
         if reserve_now:
-            self.table.rows[key].tombstone = False
-            self.table.version += 1
+            self.table.put(key, image.after)
             return key, image
         existing = self.table.rows.get(key)
         if existing is not None and not existing.tombstone:
             raise DuplicateKey(f"reckey {key} already present")
-        row = Row(dict(values))
-        self.table.put(key, row)
-        image = WriteImage(key, None, row.copy())
+        image = WriteImage(key, None, Row(values))
+        self.table.put(key, image.after)
         st.log_undo(image)
         return key, image
 

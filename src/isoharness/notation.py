@@ -216,6 +216,13 @@ _INT = re.compile(r"-?\d+")
 _PRED_TOKEN = re.compile(rf"\s*(\(|\)|<=|>=|<>|=|<|>|{_INT.pattern}|[A-Za-z_][A-Za-z_0-9]*)")
 
 
+#: The deepest a predicate's parentheses may nest.  Parsing, rendering and
+#: building ``source`` recurse a few frames per level, and Python's compiler
+#: takes at most 200 nested parentheses, so at this depth every accepted
+#: predicate still renders, builds its ``source``, compiles and evaluates.
+MAX_PREDICATE_NESTING = 100
+
+
 def _parse_int(arg: tuple, source: str) -> int:
     """The integer of a ``(text, offset)`` pair."""
     text, offset = arg
@@ -245,7 +252,7 @@ def parse_predicate(text: str, offset: int = 0, source: Optional[str] = None) ->
         raise HistorySyntaxError("bad predicate token", offset + len(text) - len(rest),
                                  rest.split()[0], source)
     tokens.append(("", offset + len(text)))
-    i = 0
+    i = depth = 0
 
     def take():
         nonlocal i
@@ -271,10 +278,16 @@ def parse_predicate(text: str, offset: int = 0, source: Optional[str] = None) ->
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_factor():
+        nonlocal depth
         if not next_is("("):
             return parse_comparison()
-        take()
+        paren, at = take()
+        if depth == MAX_PREDICATE_NESTING:
+            raise HistorySyntaxError(f"predicate nested deeper than {MAX_PREDICATE_NESTING} levels",
+                                     at, paren, source)
+        depth += 1
         inner = parse_or()
+        depth -= 1
         close, at = take()
         if close != ")":
             raise HistorySyntaxError("expected ')'", at, close, source)

@@ -1,8 +1,11 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
 
+from isoharness import dataset
 from isoharness.engine import Engine, EngineConfig
 from isoharness.executor import ExecutorConfig, Monitor
 from isoharness.notation import parse_history
@@ -11,6 +14,28 @@ from isoharness.notation import parse_history
 #: request they park on and return the operation's result.
 PARKING_OPS = ("read_item", "write_item", "rw_item", "delete_item", "insert_item",
                "predicate_read", "set_update", "set_select")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shared_rows_stay_canonical():
+    """Every table of a row count shares that count's canonical rows, so an
+    edit of one would reach every later table: at the end of the run, each
+    set of shared rows handed out must still be canonical."""
+    handed_out = {}
+    cached = dataset._canonical_rows
+
+    def recording(row_count):
+        shared = cached(row_count)
+        handed_out[id(shared)] = row_count, shared  # kept alive: ids stay unique
+        return shared
+
+    dataset._canonical_rows = recording
+    yield
+    dataset._canonical_rows = cached
+    for row_count, (rows, keys) in handed_out.values():
+        assert keys == [100 * i for i in range(1, row_count + 1)], f"{row_count} rows: keys changed"
+        changed = [k for k in keys if rows.get(k) != dataset.initial_row(k // 100)]
+        assert len(rows) == row_count and not changed, f"{row_count} rows: rows {changed[:5]} changed"
 
 
 def fast_config(**kwargs) -> ExecutorConfig:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import isoharness
 from isoharness.analyzer import analyze_history
 from isoharness.cli import main, run_campaign
 from isoharness.engine import EngineConfig, LockScope
@@ -101,6 +107,17 @@ def test_campaign_cli_small(capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "cell w_w default RC RC BLOCKED CONFORMS" in printed
+
+
+@pytest.mark.parametrize("module", ["isoharness", "isoharness.cli"])
+def test_python_m_runs_the_campaign(module, tmp_path):
+    src = str(Path(isoharness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", module, "campaign", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "totals BLOCKED=36 EXECUTED=9" in done.stdout
+    assert len(list(tmp_path.glob("*.outhist"))) == 45
 
 
 def test_campaign_strict_reports_findings_but_exits_zero(tmp_path, capsys):

@@ -59,12 +59,21 @@ def test_invalid_row_counts():
 
 
 def test_determinism():
+    # Tables share the canonical rows but own their row dict and key list,
+    # so a put or a drop on one leaves the other canonical.
     a = build_canonical_table(300)
     b = build_canonical_table(300)
-    assert a.rows == b.rows
+    assert a.rows == b.rows and [r.values for r in a.scan()] == table_rows_oracle(300)
     assert a.keys == b.keys == sorted(a.rows)
-    assert not {id(r) for r in a.rows.values()} & {id(r) for r in b.rows.values()}
-    assert not {id(r.values) for r in a.rows.values()} & {id(r.values) for r in b.rows.values()}
+    assert a.rows is not b.rows and a.keys is not b.keys
+    edited = a.rows[100].copy()
+    edited.values["recval"] = -1
+    a.put(100, edited)
+    a.put(150, Row(dict(edited.values, reckey=150)))
+    a.drop(200)
+    assert a.keys[:3] == [100, 150, 300] and a.rows[100].values["recval"] == -1
+    assert b.keys == [100 * i for i in range(1, 301)]
+    assert [r.values for r in b.scan()] == table_rows_oracle(300)
 
 
 @pytest.mark.parametrize("n", [100, 300, 400, 2000])
@@ -82,15 +91,20 @@ def test_every_row_is_the_initial_row_in_schema_order(n):
 
 
 def test_mutating_a_table_leaves_later_tables_canonical():
+    # A table changes as the engine changes it: an edited copy of a row, or
+    # a tombstoned one, is put in the row's place.
     table = build_canonical_table(700)
-    table.rows[100].values["recval"] = -1
-    table.rows[100].values["k2"] = 7
-    table.rows[30100].values["c100"] = -5  # row 301 shares row 1's period slot
-    table.rows[60000].values["k50"] = 99
-    table.rows[200].tombstone = True
-    table.rows[30200].tombstone = True
+    edits = {100: {"recval": -1, "k2": 7}, 30100: {"c100": -5},  # row 301 shares row 1's period slot
+             60000: {"k50": 99}}
+    for key, change in edits.items():
+        row = table.rows[key].copy()
+        row.values.update(change)
+        table.put(key, row)
+    for key in (200, 30200):
+        table.put(key, Row(table.rows[key].values, tombstone=True))
     table.drop(300)
     table.drop(60100)
+    assert table.rows[30100].values["c100"] == -5 and table.rows[200].tombstone
     fresh = build_canonical_table(700)
     assert [r.values for r in fresh.scan()] == table_rows_oracle(700)
     assert fresh.keys == [100 * i for i in range(1, 701)]
@@ -116,9 +130,11 @@ def test_empty_conjunction_vacuously_true():
 
 def test_tombstoned_rows_never_match():
     table = build_canonical_table(200)
-    row = table.rows[100]
-    row.tombstone = True
-    assert not eval_predicate(row, parse_predicate("reckey=100"))
+    pred = parse_predicate("reckey=100")
+    assert eval_predicate(table.rows[100], pred)
+    table.put(100, Row(table.rows[100].values, tombstone=True))
+    assert not eval_predicate(table.rows[100], pred)
+    assert 100 not in [row.reckey for row in table.scan()]
 
 
 def test_match_count_67():

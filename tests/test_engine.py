@@ -28,6 +28,7 @@ from isoharness.engine import (
 from isoharness.notation import UnknownColumn, parse_predicate
 
 from conftest import FinishingEngine, OpThread, run_text
+from oracles import table_rows_oracle
 
 
 def make_engine(rows=200, scope=LockScope.PREDICATE, strict=False, ru_writes=False):
@@ -721,6 +722,60 @@ def test_three_txn_cycle_single_victim():
     statuses = {t: e.txns[t].status for t in (1, 2, 3)}
     assert statuses[3] is TxnStatus.ABORTED
     assert statuses[1] is TxnStatus.COMMITTED and statuses[2] is TxnStatus.COMMITTED
+
+
+def test_every_write_path_leaves_later_tables_canonical():
+    # Every table shares the canonical rows, so a write puts a new row and
+    # never edits one: after each write path, a commit, a rollback and a
+    # deadlock victim's rollback, a new table is canonical, and every image
+    # the engine logged still holds the values it was logged with.
+    e = make_engine(300)
+    logged = []
+
+    def log(image):
+        sides = (image.before, image.after)
+        logged.append((image, [r and (dict(r.values), r.tombstone) for r in sides]))
+
+    e.begin(1, IL.RC)
+    log(e.write_item(1, 100, {"recval": 1}))
+    log(e.rw_item(1, 200)[1])
+    log(e.delete_item(1, 300))
+    key, image = e.insert_item(1, None, {"k2": 1})
+    assert key == 150  # a fresh key
+    log(image)
+    log(e.insert_item(1, 300)[1])  # over its own tombstone; matches below
+    count, images = e.set_update(1, parse_predicate("k2=0 and k3=0"), 5)
+    assert count == 51 and 300 in [image.reckey for image in images]
+    for image in images:
+        log(image)
+    e.commit(1)
+
+    e.begin(2, IL.RC)
+    log(e.write_item(2, 400, {"recval": 2}))
+    log(e.delete_item(2, 500))
+    log(e.insert_item(2, 550)[1])
+    e.rollback(2)
+
+    e.begin(3, IL.RC)
+    e.begin(4, IL.RC)
+    log(e.write_item(3, 600, {"recval": 3}))
+    log(e.write_item(4, 700, {"recval": 4}))
+    log(e.delete_item(4, 800))
+    waiter = OpThread(e.write_item, 3, 700, {"recval": 5})
+    with pytest.raises(DeadlockAbort):
+        OpThread(e.write_item, 4, 600, {"recval": 6}).outcome()
+    log(waiter.outcome())
+    e.commit(3)
+
+    canonical = table_rows_oracle(300)
+    assert [e.table.rows[k].values["recval"] for k in (100, 200, 300, 700)] == [6, 20001, 30005, 5]
+    assert [e.table.rows[k].values for k in (400, 500, 800)] == [canonical[i] for i in (3, 4, 7)]
+    assert 550 not in e.table.rows and e.txns[4].status is TxnStatus.ABORTED
+    fresh = build_canonical_table(300)
+    assert [r.values for r in fresh.scan()] == canonical
+    assert fresh.keys == [100 * i for i in range(1, 301)]
+    for image, sides in logged:
+        assert [r and (r.values, r.tombstone) for r in (image.before, image.after)] == sides
 
 
 # ------------------------------------------------- sorted keys and scan cost

@@ -11,6 +11,7 @@ from isoharness.notation import (
     Comparison,
     HistorySyntaxError,
     IsolationLevel,
+    MAX_PREDICATE_NESTING,
     OpKind,
     Or,
     SemanticError,
@@ -264,6 +265,34 @@ def test_predicate_nested_50_levels_compiles():
         pred = (And if depth % 2 else Or)((Comparison("k3", "=", depth), pred))
     for values in ({"k2": 0, "k3": 100}, {"k2": 1, "k3": 49}, {"k2": 1, "k3": 48}, {"k2": 0, "k3": 1}):
         assert pred.test(values) == eval_pred_oracle(pred, values), values
+
+
+def _nested(levels: int) -> str:
+    """A predicate whose parentheses nest ``levels`` deep, each level an Or
+    holding an And, so the parsed predicate nests twice as deep."""
+    text = "k2=0"
+    for depth in range(levels):
+        text = f"k3={depth} or k2=1 and ({text})"
+    return text
+
+
+def test_predicate_at_the_nesting_limit_renders_compiles_and_evaluates():
+    pred = parse_predicate(_nested(MAX_PREDICATE_NESTING))
+    for compact in (False, True):
+        assert render_predicate(pred, compact).count("k3=") == MAX_PREDICATE_NESTING
+    assert pred.source.count(" or ") == MAX_PREDICATE_NESTING
+    for values in ({"k2": 0, "k3": 100}, {"k2": 1, "k3": 99}, {"k2": 1, "k3": 100}, {"k2": 0, "k3": 0}):
+        assert pred.test(values) == eval_pred_oracle(pred, values), values
+
+
+def test_predicate_deeper_than_the_limit_is_a_located_syntax_error():
+    text = _nested(MAX_PREDICATE_NESTING + 1)
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_history(f"IL1(RC)\nPRED(P, {text})")
+    # the innermost parenthesis opens the level past the limit
+    column = len("PRED(P, ") + text.rindex("(") + 1
+    assert (info.value.line, info.value.column, info.value.token) == (2, column, "(")
+    assert "nested deeper than" in str(info.value)
 
 
 def test_comparison_fields_cannot_inject_code(capsys):
