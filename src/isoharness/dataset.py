@@ -33,7 +33,7 @@ class InvalidRowCount(ValueError):
 DEFAULT_ROW_COUNT = 200
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     values: Dict[str, int]
     tombstone: bool = False
@@ -41,9 +41,6 @@ class Row:
     @property
     def reckey(self) -> int:
         return self.values["reckey"]
-
-    def copy(self) -> "Row":
-        return Row(dict(self.values), self.tombstone)
 
     def __eq__(self, other):
         if not isinstance(other, Row):
@@ -94,10 +91,6 @@ class CanonicalTable:
             row = self.rows[key]
             if not row.tombstone:
                 yield row
-
-    def snapshot(self) -> Dict[int, Row]:
-        """Deep copy of live rows, for before/after comparisons in tests."""
-        return {k: r.copy() for k, r in self.rows.items() if not r.tombstone}
 
 
 #: Row i's kN/cN values are those of template (i-1) % _PERIOD (300 rows).

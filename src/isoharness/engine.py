@@ -23,12 +23,15 @@ conflicting waiter.  Incremental range locks follow the key order; table
 scope (``LockScope.TABLE``) is incremental scope without a usable key index,
 whose first fetch locks the whole key range.
 
-A lock request and its grant are one record (:class:`LockRequest`): once
-granted, the request itself is held in the lock table.  Every write to an
-existing row (W, RW, D, and each row of a set update) takes one path,
-``Engine._write_row``: the LONG exclusive lock, then a re-check of the
-row, a new ``Row`` put in its place (a tombstoned one for a delete) and an
-undo entry whose before image is the old ``Row`` itself.  No write edits a
+A lock request and its grant are one record (:class:`LockRequest`).  The
+lock table hashes grants on the resource: a row's exclusive grant and shared
+grants by reckey, shared predicate and range grants by resource; each
+transaction keeps its own in grant order.  ``Engine._request`` grants a lock
+or queues it in one plain call; only a queued request enters the generator
+``Engine._park``.  Every write to an existing row (W, RW, D, each row of a
+set update) takes one path, ``Engine._write_row``, once its LONG exclusive
+lock is held: a new ``Row`` put in its place (a tombstoned one for a delete)
+and an undo entry whose before image is the old ``Row``.  No write edits a
 ``Row``: the table's rows start as the canonical rows every table shares.
 
 The operations that can wait for a lock are generators: ``read_item``,
@@ -50,14 +53,15 @@ one of each transaction.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import count, islice
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
-from .dataset import CanonicalTable, Row, eval_predicate
+from .dataset import CanonicalTable, Row
 from .notation import IsolationLevel, SCHEMA_COLUMNS, UnknownColumn
 
 if TYPE_CHECKING:
@@ -137,6 +141,10 @@ class ItemResource:
     reckey: int
 
 
+#: Each reckey's item resource, made once: a lookup costs less than a new one.
+_item = functools.lru_cache(maxsize=1 << 16)(ItemResource)
+
+
 @dataclass(frozen=True)
 class PredicateResource:
     predicate: PredicateExpr
@@ -153,7 +161,7 @@ class RangeResource:
         return self.low < reckey <= self.high
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteImage:
     reckey: int
     before: Optional[Row]  # None means ABSENT (insert)
@@ -173,19 +181,18 @@ class _Outcome(Enum):
     DEADLOCK = "DEADLOCK"
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class LockRequest:
     """A lock request; once granted, the same object is the grant held in
-    the lock table until it is released."""
+    the lock table until it is released.  Compared and hashed by identity."""
 
     txn: int
     resource: object
     mode: LockMode
     duration: LockDuration
-    # Intended-write images, set while an exclusive item lock has been
-    # granted but the write not yet applied; afterwards the undo log is
-    # authoritative.
-    intent: Optional[Callable[[], list]] = None
+    # While an exclusive item lock's write is not applied: the values it
+    # stands for, from those of the row now at its key (None if none).
+    intent: Optional[Callable[[Optional[dict]], list]] = None
     # Set once: granted, or the transaction was picked as a deadlock victim.
     outcome: Optional[_Outcome] = None
 
@@ -210,6 +217,8 @@ class TxnState:
     undo: List[WriteImage] = field(default_factory=list)
     # The same images by reckey, so a conflict check reads only its row's.
     undo_by_key: Dict[int, List[WriteImage]] = field(default_factory=dict)
+    # The grants it holds, in grant order (a dict used as an ordered set).
+    grants: Dict[LockRequest, None] = field(default_factory=dict)
     last_event: int = 0
 
     def log_undo(self, image: WriteImage) -> None:
@@ -228,7 +237,7 @@ class EngineConfig:
     ru_writes_allowed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class LockEvent:
     """Acquire/release trace entry, used by the two-phase-locking checks."""
 
@@ -246,7 +255,14 @@ _INF = math.inf
 
 def _add_to_recval(delta: int) -> Callable[[dict], dict]:
     """The ``after_of`` of a recval increment, for :meth:`Engine._write_row`."""
-    return lambda values: {**values, "recval": values["recval"] + delta}
+    return lambda values: dict(values, recval=values["recval"] + delta)  # faster than {**values}
+
+
+def _write_intent(after_of: Callable[[dict], Optional[dict]]) -> Callable[[Optional[dict]], list]:
+    """The ``LockRequest.intent`` of a write through ``after_of``: the row's
+    values, and its new ones unless the write deletes it."""
+    return lambda values: ([] if values is None
+                           else [v for v in (values, after_of(values)) if v is not None])
 
 
 class Engine:
@@ -255,16 +271,14 @@ class Engine:
         self.config = config or EngineConfig()
         self.txns: Dict[int, TxnState] = {}
         self.lock_events: List[LockEvent] = []
-        # Grants keyed by (txn, resource, mode), in grant order, and again
-        # by what can conflict with them: an exclusive grant is an item lock
-        # and a row has at most one, so those go by reckey; the shared ones,
-        # which only an exclusive request can meet, are kept apart.
-        self._grants: Dict[tuple, LockRequest] = {}
+        # The lock table: exclusive grants by reckey, and shared ones by
+        # reckey, or by resource for predicate and range locks, then by txn.
         self._x_grants: Dict[int, LockRequest] = {}
-        self._s_grants: Dict[tuple, LockRequest] = {}
+        self._s_items: Dict[int, Dict[int, LockRequest]] = {}
+        self._s_sets: Dict[object, Dict[int, LockRequest]] = {}
         self._waiters: List[LockRequest] = []
         self._begin_counter = 0
-        self._event_counter = 0
+        self._events = count(1)  # the engine's event numbers, in order
 
     # ------------------------------------------------------------------ txns
 
@@ -274,7 +288,7 @@ class Engine:
         self._begin_counter += 1
         state = TxnState(txn=txn, level=level, begin_seq=self._begin_counter)
         self.txns[txn] = state
-        self._stamp(state)
+        state.last_event = next(self._events)
         return state
 
     def commit(self, txn: int) -> None:
@@ -289,7 +303,7 @@ class Engine:
         st.clear_undo()
         st.cursors.clear()
         st.status = TxnStatus.COMMITTED
-        self._stamp(st)
+        st.last_event = next(self._events)
         self._release_all(st, "TERMINATION")
 
     def rollback(self, txn: int) -> None:
@@ -307,7 +321,7 @@ class Engine:
         st.clear_undo()
         st.cursors.clear()
         st.status = TxnStatus.ABORTED
-        self._stamp(st)
+        st.last_event = next(self._events)
         self._release_all(st, "TERMINATION")
 
     def _require_active(self, txn: int) -> TxnState:
@@ -316,7 +330,7 @@ class Engine:
         st = self.txns.get(txn)
         if st is None:
             raise UnknownTxn(f"transaction {txn} never began")
-        self._stamp(st)
+        st.last_event = next(self._events)
         if st.status not in (TxnStatus.ACTIVE, TxnStatus.BLOCKED):
             raise UnknownTxn(f"transaction {txn} is {st.status.value}")
         return st
@@ -335,13 +349,15 @@ class Engine:
 
     def _images_of(self, entry) -> list:
         """Value dicts an exclusive item lock stands for (realized + intended)."""
+        key = entry.resource.reckey
         out = []
         holder = self.txns.get(entry.txn)
         if holder is not None:
-            for img in holder.undo_by_key.get(entry.resource.reckey, ()):
+            for img in holder.undo_by_key.get(key, ()):
                 out.extend(img.value_dicts())
         if entry.intent is not None:
-            out.extend(entry.intent())
+            row = self.table.rows.get(key)
+            out.extend(entry.intent(None if row is None else row.values))
         return out
 
     def _conflict(self, a, b) -> bool:
@@ -360,38 +376,45 @@ class Engine:
         images = self._images_of(x)
         return any(res.predicate.holds(values) for values in images)
 
-    def _stamp(self, st: TxnState) -> int:
-        self._event_counter += 1
-        st.last_event = self._event_counter
-        return self._event_counter
+    def _shared(self, res) -> Tuple[dict, object]:
+        """Where the shared grants on ``res`` are kept: a dict, and their key."""
+        return (self._s_items, res.reckey) if isinstance(res, ItemResource) else (self._s_sets, res)
 
-    def _log(self, txn, action, resource, mode, duration, reason=""):
-        self._event_counter += 1
-        self.lock_events.append(
-            LockEvent(self._event_counter, txn, action, resource, mode, duration, reason)
-        )
-
-    def _grant_now(self, req: LockRequest) -> LockRequest:
-        key = (req.txn, req.resource, req.mode)
-        self._grants[key] = req
+    def _grant_now(self, st: TxnState, req: LockRequest) -> LockRequest:
         if req.mode is LockMode.X:
             self._x_grants[req.resource.reckey] = req
         else:
-            self._s_grants[key] = req
-        self._log(req.txn, "ACQUIRE", req.resource, req.mode, req.duration)
+            table, key = self._shared(req.resource)
+            table.setdefault(key, {})[req.txn] = req
+        st.grants[req] = None
+        self.lock_events.append(LockEvent(next(self._events), req.txn, "ACQUIRE", req.resource,
+                                          req.mode, req.duration))
         req.outcome = _Outcome.GRANTED
         return req
 
+    def _release(self, grant: LockRequest, reason: str) -> None:
+        """Take a grant out of the lock table (not its holder's) and log it."""
+        if grant.mode is LockMode.X:
+            del self._x_grants[grant.resource.reckey]
+        else:
+            table, key = self._shared(grant.resource)
+            del table[key][grant.txn]
+            if not table[key]:
+                del table[key]
+        self.lock_events.append(LockEvent(next(self._events), grant.txn, "RELEASE", grant.resource,
+                                          grant.mode, grant.duration, reason))
+
     def _rivals(self, req: LockRequest):
-        """The grants that can conflict with ``req``: S/S never conflict, and
-        an item lock meets only the exclusive grant on its own row."""
+        """The grants that can conflict with ``req``: S/S never conflict; an item
+        lock meets its row's grants and, if exclusive, predicate and range ones."""
         res = req.resource
         if not isinstance(res, ItemResource):  # predicate and range locks are shared
             return self._x_grants.values()
         x = self._x_grants.get(res.reckey)
         rivals = [] if x is None else [x]
         if req.mode is LockMode.X:
-            rivals.extend(self._s_grants.values())
+            for shared in (self._s_items.get(res.reckey, {}), *self._s_sets.values()):
+                rivals.extend(shared.values())
         return rivals
 
     def _blockers(self, req: LockRequest, queue_prefix) -> set:
@@ -413,37 +436,28 @@ class Engine:
             if self._blockers(req, remaining):
                 remaining.append(req)
                 continue
-            self._grant_now(req)
             st = self.txns[req.txn]
+            self._grant_now(st, req)
             if st.status is TxnStatus.BLOCKED:  # parked, not the requester itself
                 st.status = TxnStatus.ACTIVE
-                self._stamp(st)  # settled: the stamp orders its resumption
+                st.last_event = next(self._events)  # settled: the stamp orders its resumption
         self._waiters = remaining
 
     def _release_all(self, st: TxnState, reason: str) -> None:
-        kept = {}
-        for key, g in self._grants.items():
-            if g.txn == st.txn:
-                self._log(g.txn, "RELEASE", g.resource, g.mode, g.duration, reason)
-            else:
-                kept[key] = g
-        self._grants = kept
-        self._x_grants = {k: g for k, g in self._x_grants.items() if g.txn != st.txn}
-        self._s_grants = {k: g for k, g in self._s_grants.items() if g.txn != st.txn}
+        for g in st.grants:
+            self._release(g, reason)
+        st.grants.clear()
         self._grant_pass()
 
     def _release_grants(self, grants, reason: str) -> None:
-        if not grants:
+        """Release what is held of ``grants``, an op's SHORT requests, if any was granted."""
+        if not any(g.outcome is _Outcome.GRANTED for g in grants):
             return
         for g in grants:
-            key = (g.txn, g.resource, g.mode)
-            if self._grants.get(key) is g:
-                del self._grants[key]
-                if g.mode is LockMode.X:
-                    del self._x_grants[g.resource.reckey]
-                else:
-                    del self._s_grants[key]
-                self._log(g.txn, "RELEASE", g.resource, g.mode, g.duration, reason)
+            held = self.txns[g.txn].grants
+            if g in held:
+                del held[g]
+                self._release(g, reason)
         self._grant_pass()
 
     def _waits_for_edges(self) -> dict:
@@ -480,46 +494,49 @@ class Engine:
             doomed = [r for r in self._waiters if r.txn == victim.txn]
             self._waiters = [r for r in self._waiters if r.txn != victim.txn]
             if victim.status is TxnStatus.BLOCKED:
-                self._stamp(victim)  # settled, like a grant
+                victim.last_event = next(self._events)  # settled, like a grant
             self._abort(victim)
             for req in doomed:
                 req.outcome = _Outcome.DEADLOCK
 
-    def _acquire(self, st: TxnState, resource, mode: LockMode, duration: LockDuration,
-                 intent: Optional[Callable[[], list]] = None,
-                 ) -> Generator[LockRequest, None, Tuple[LockRequest, bool]]:
-        """Acquire a lock, parking as needed: yields the queued request until
-        its outcome is settled.
-
-        Returns (grant, fresh): ``fresh`` is False when an identical grant was
-        already held (nothing to release at op end).  Raises
-        :class:`DeadlockAbort` if the transaction was picked as a deadlock
-        victim, by then already rolled back.
-        """
-        held = self._grants.get((st.txn, resource, mode))
-        if held is not None:
-            if intent is not None:
-                held.intent = intent
-            return held, False
+    def _request(self, st: TxnState, resource, mode: LockMode, duration: LockDuration,
+                 intent: Optional[Callable[[Optional[dict]], list]] = None) -> LockRequest:
+        """Grant a lock, or queue the request, in one plain call: returns the
+        grant (or the transaction's own, held already), else the queued
+        request, for :meth:`_park`.  Queuing breaks any wait cycle it closes,
+        which may grant it or pick its own transaction as the victim."""
+        if mode is LockMode.X:  # an item lock, and its row has at most one
+            held = self._x_grants.get(resource.reckey)
+            # nothing on the row, and no predicate or range grant: no rival
+            free = held is None and resource.reckey not in self._s_items and not self._s_sets
+        else:
+            table, key = self._shared(resource)
+            held, free = table.get(key, {}).get(st.txn), False
+        if held is not None and held.txn == st.txn:
+            return held
         req = LockRequest(st.txn, resource, mode, duration, intent)
-        if not self._blockers(req, self._waiters):
-            return self._grant_now(req), True
+        if free and not self._waiters or not self._blockers(req, self._waiters):
+            return self._grant_now(st, req)
         self._waiters.append(req)
         self._resolve_deadlocks(req)
+        return req
+
+    def _park(self, st: TxnState, req: LockRequest) -> Generator[LockRequest, None, None]:
+        """The rest of a queued request: yields it until it is settled; raises
+        :class:`DeadlockAbort` if its transaction was the victim, rolled back."""
         if req.outcome is None:
             st.status = TxnStatus.BLOCKED
-            self._stamp(st)  # parked: the stamp orders its BLOCKED record
+            st.last_event = next(self._events)  # parked: the stamp orders its BLOCKED record
             yield req
         if req.outcome is _Outcome.DEADLOCK:
             raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
-        return req, True
 
-    def _read_lock(self, st: TxnState, resource, duration: LockDuration, short: list):
-        """Acquire a shared lock; a fresh SHORT one is added to ``short``, the
-        grants the operation releases when it ends."""
-        grant, fresh = yield from self._acquire(st, resource, LockMode.S, duration)
-        if fresh and grant.duration is LockDuration.SHORT:
-            short.append(grant)
+    def _read_lock(self, st: TxnState, resource, duration: LockDuration, short: list) -> LockRequest:
+        """Request a shared lock; a SHORT one joins ``short``, released at op end."""
+        req = self._request(st, resource, LockMode.S, duration)
+        if req.duration is LockDuration.SHORT:
+            short.append(req)
+        return req
 
     # ------------------------------------------------------------ inspection
 
@@ -529,9 +546,6 @@ class Engine:
             if req.txn == txn and req.outcome is None:
                 return "WAITING"
         return None
-
-    def held_locks(self, txn: int) -> list:
-        return [g for g in self._grants.values() if g.txn == txn]
 
     # ------------------------------------------------------------- item ops
 
@@ -564,9 +578,11 @@ class Engine:
             return row.values[column]
         short: list = []
         try:
-            yield from self._read_lock(st, ItemResource(reckey),
-                                       self._read_duration(st.level, predicate=False), short)
-            self._stamp(st)
+            grant = self._read_lock(st, _item(reckey),
+                                    self._read_duration(st.level, predicate=False), short)
+            if grant.outcome is not _Outcome.GRANTED:
+                yield from self._park(st, grant)
+            st.last_event = next(self._events)
             row = self.table.rows.get(reckey)
             if row is None or row.tombstone:
                 raise RowNotFound(f"no row with reckey {reckey}")
@@ -577,30 +593,18 @@ class Engine:
         finally:
             self._release_grants(short, "OP_END")
 
-    def _write_row(self, st: TxnState, reckey: int, after_of: Callable[[dict], Optional[dict]],
-                   predicate: Optional[PredicateExpr] = None,
-                   ) -> Generator[LockRequest, None, Optional[WriteImage]]:
-        """The one write path for existing rows: take the LONG exclusive lock,
-        then, if the row is still there and still satisfies ``predicate``,
-        apply ``after_of`` and log the undo image.  ``after_of`` maps the
-        row's values to new ones, or to None for a delete.  Returns None when
-        nothing was written."""
-
-        def intent() -> list:
-            row = self.table.rows.get(reckey)
-            if row is None:
-                return []
-            after = after_of(row.values)
-            return [row.values] if after is None else [row.values, after]
-
-        grant, _ = yield from self._acquire(st, ItemResource(reckey), LockMode.X,
-                                            LockDuration.LONG, intent)
-        self._stamp(st)
+    def _write_row(self, st: TxnState, grant: LockRequest, after_of: Callable[[dict], Optional[dict]],
+                   predicate: Optional[PredicateExpr] = None) -> Optional[WriteImage]:
+        """The one write path for existing rows, once ``grant``, the row's
+        LONG exclusive lock, is held: if the row is still there and still
+        satisfies ``predicate``, apply ``after_of`` and log the undo image.
+        ``after_of`` maps the row's values to new ones, or to None for a
+        delete.  Returns None when nothing was written."""
+        st.last_event = next(self._events)
         grant.intent = None
+        reckey = grant.resource.reckey
         row = self.table.rows.get(reckey)
-        if row is None or row.tombstone or (
-            predicate is not None and not eval_predicate(row, predicate)
-        ):
+        if row is None or row.tombstone or (predicate is not None and not predicate.test(row.values)):
             return None
         after = after_of(row.values)
         image = WriteImage(reckey, row, None if after is None else Row(after))
@@ -615,7 +619,10 @@ class Engine:
         st = self._require_active(txn)
         self._check_writable(st)
         self._visible_row(st, reckey)
-        image = yield from self._write_row(st, reckey, after_of)
+        grant = self._request(st, _item(reckey), LockMode.X, LockDuration.LONG, _write_intent(after_of))
+        if grant.outcome is not _Outcome.GRANTED:
+            yield from self._park(st, grant)
+        image = self._write_row(st, grant, after_of)
         if image is None:
             raise RowNotFound(f"no row with reckey {reckey}")
         return image
@@ -681,11 +688,11 @@ class Engine:
             self.table.put(key, Row(values, tombstone=True))
             image = WriteImage(key, None, Row(values))
             st.log_undo(image)
-        grant, _ = yield from self._acquire(
-            st, ItemResource(key), LockMode.X, LockDuration.LONG,
-            intent=(lambda: [values]) if not reserve_now else None,
-        )
-        self._stamp(st)
+        grant = self._request(st, _item(key), LockMode.X, LockDuration.LONG,
+                              None if reserve_now else lambda _row_values: [values])
+        if grant.outcome is not _Outcome.GRANTED:
+            yield from self._park(st, grant)
+        st.last_event = next(self._events)
         grant.intent = None
         if reserve_now:
             self.table.put(key, image.after)
@@ -742,10 +749,14 @@ class Engine:
         try:
             # Predicate-scope locking: one shared lock on the predicate itself.
             if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
-                yield from self._read_lock(st, PredicateResource(predicate), duration, short)
+                grant = self._read_lock(st, PredicateResource(predicate), duration, short)
+                if grant.outcome is not _Outcome.GRANTED:
+                    yield from self._park(st, grant)
             need = self._scan_lock_plan(st, cursor, _INF)
             if need is not None and aggregate:
-                yield from self._read_lock(st, need, duration, short)
+                grant = self._read_lock(st, need, duration, short)
+                if grant.outcome is not _Outcome.GRANTED:
+                    yield from self._park(st, grant)
                 cursor.frontier, need = need.high, None
             walked, matches = self.table.version, self._matches(predicate, cursor.position)
             by_key = self.table.rows
@@ -762,7 +773,9 @@ class Engine:
                         keys.append(key)
                         key = next(matches, _INF)
                         continue
-                    yield from self._read_lock(st, need, duration, short)
+                    grant = self._read_lock(st, need, duration, short)
+                    if grant.outcome is not _Outcome.GRANTED:
+                        yield from self._park(st, grant)
                     cursor.frontier = need.high
                     if walked != self.table.version:  # the table changed during the wait
                         walked = self.table.version
@@ -773,7 +786,7 @@ class Engine:
                 cursor.position = keys[-1] if keys else cursor.position
                 rows = [(key,) if columns == ("reckey",) else
                         (key, *(by_key[key].values[c] for c in columns)) for key in keys]
-            self._stamp(st)
+            st.last_event = next(self._events)
             if drain:
                 st.cursors.pop(pred_var, None)
             return rows
@@ -807,17 +820,24 @@ class Engine:
         st = self._require_active(txn)
         self._check_writable(st)
         after_of = _add_to_recval(delta)
+        intent = _write_intent(after_of)
         images: List[WriteImage] = []
-        position = 0
-        while True:
-            key = next(self._matches(predicate, position), None)
-            if key is None:
-                self._stamp(st)
-                break
-            position = key
-            image = yield from self._write_row(st, key, after_of, predicate)
+        matches = self._matches(predicate)
+        key = next(matches, None)
+        while key is not None:
+            walked = self.table.version
+            grant = self._request(st, _item(key), LockMode.X, LockDuration.LONG, intent)
+            if grant.outcome is not _Outcome.GRANTED:
+                yield from self._park(st, grant)
+            if walked == self.table.version:  # the row is as the walk found it
+                image = self._write_row(st, grant, after_of)
+            else:  # a park or a deadlock rollback changed the table: look again
+                image = self._write_row(st, grant, after_of, predicate)
+                matches = self._matches(predicate, key)
             if image is not None:
                 images.append(image)
+            key = next(matches, None)
+        st.last_event = next(self._events)
         return len(images), images
 
     def set_select(self, txn: int, predicate: PredicateExpr,

@@ -216,10 +216,10 @@ _INT = re.compile(r"-?\d+")
 _PRED_TOKEN = re.compile(rf"\s*(\(|\)|<=|>=|<>|=|<|>|{_INT.pattern}|[A-Za-z_][A-Za-z_0-9]*)")
 
 
-#: The deepest a predicate's parentheses may nest.  Parsing, rendering and
-#: building ``source`` recurse a few frames per level, and Python's compiler
-#: takes at most 200 nested parentheses, so at this depth every accepted
-#: predicate still renders, builds its ``source``, compiles and evaluates.
+#: The deepest a predicate's And/Or nodes, and its parentheses (a guard for
+#: the parser's recursion), may nest.  No rendering nests its parentheses
+#: deeper than the nodes, so every accepted predicate renders in either form
+#: to text that parses back, and builds its ``source``, compiles and runs.
 MAX_PREDICATE_NESTING = 100
 
 
@@ -263,28 +263,34 @@ def parse_predicate(text: str, offset: int = 0, source: Optional[str] = None) ->
     def next_is(word):
         return tokens[i][0].lower() == word
 
-    def parse_or():
-        items = [parse_and()]
-        while next_is("or"):
-            take()
-            items.append(parse_and())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+    def parse_items(parse_item, word, node):
+        """Items joined by ``word``, as one ``node`` if there are several,
+        with its nesting: the And/Or nodes on its deepest path."""
+        item, nesting = parse_item()
+        items = [item]
+        while next_is(word):
+            joined = take()
+            item, inner = parse_item()
+            nesting = max(nesting, inner)
+            if nesting == MAX_PREDICATE_NESTING:  # the node joined here nests one deeper
+                raise too_deep(joined)
+            items.append(item)
+        return (items[0], nesting) if len(items) == 1 else (node(tuple(items)), nesting + 1)
 
-    def parse_and():
-        items = [parse_factor()]
-        while next_is("and"):
-            take()
-            items.append(parse_factor())
-        return items[0] if len(items) == 1 else And(tuple(items))
+    def too_deep(token):
+        return HistorySyntaxError(f"predicate nested deeper than {MAX_PREDICATE_NESTING} levels",
+                                  token[1], token[0], source)
+
+    def parse_or():
+        return parse_items(lambda: parse_items(parse_factor, "and", And), "or", Or)
 
     def parse_factor():
         nonlocal depth
         if not next_is("("):
-            return parse_comparison()
-        paren, at = take()
+            return parse_comparison(), 0
+        paren = take()
         if depth == MAX_PREDICATE_NESTING:
-            raise HistorySyntaxError(f"predicate nested deeper than {MAX_PREDICATE_NESTING} levels",
-                                     at, paren, source)
+            raise too_deep(paren)
         depth += 1
         inner = parse_or()
         depth -= 1
@@ -304,7 +310,7 @@ def parse_predicate(text: str, offset: int = 0, source: Optional[str] = None) ->
             raise HistorySyntaxError("expected relational operator", at, op, source)
         return Comparison(col, op, _parse_int(take(), source))
 
-    expr = parse_or()
+    expr, _ = parse_or()
     extra, at = take()
     if extra:
         raise HistorySyntaxError("trailing predicate tokens", at, extra, source)
@@ -321,8 +327,9 @@ def render_predicate(expr: PredicateExpr, compact: bool = False) -> str:
     parts = []
     for item in expr.items:
         text = render_predicate(item, compact)
-        # an Or item needs parentheses; an And item in an Or only reads better with them
-        if isinstance(item, Or) or (isinstance(item, And) and not conjunction and not compact):
+        # an Or item needs parentheses, and an And item in an And keeps its own
+        # with them; an And item in an Or only reads better with them
+        if isinstance(item, Or) or (isinstance(item, And) and (conjunction or not compact)):
             text = f"({text})"
         parts.append(text)
     word = "and" if conjunction else "or"

@@ -38,6 +38,22 @@ def shared_rows_stay_canonical():
         assert len(rows) == row_count and not changed, f"{row_count} rows: rows {changed[:5]} changed"
 
 
+def held_locks(engine: Engine, txn: int) -> list:
+    """The grants ``txn`` holds, in grant order."""
+    return list(engine.txns[txn].grants)
+
+
+def copy_row(row: dataset.Row) -> dataset.Row:
+    """A copy of ``row`` with its own values dict."""
+    return dataset.Row(dict(row.values), row.tombstone)
+
+
+def live_rows(table: dataset.CanonicalTable) -> dict:
+    """reckey -> values of the table's live rows: a copy, for before/after
+    comparisons."""
+    return {k: dict(r.values) for k, r in table.rows.items() if not r.tombstone}
+
+
 def fast_config(**kwargs) -> ExecutorConfig:
     """Executor config for the test suite."""
     kwargs.setdefault("engine", EngineConfig())

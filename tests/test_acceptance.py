@@ -26,7 +26,7 @@ from isoharness.outhist import (
     serialize,
 )
 
-from conftest import fast_config, run_text
+from conftest import fast_config, live_rows, run_text
 from oracles import (
     check_strict_2pl,
     committed_value_oracle,
@@ -279,10 +279,7 @@ def test_criterion_7_engine_property_suite():
             assert not offences, offences
             # undo exactness: final state equals replay of committed images
             expected = replay_committed_state(output, initial)
-            got = {
-                key: dict(row.values)
-                for key, row in monitor.engine.table.snapshot().items()
-            }
+            got = live_rows(monitor.engine.table)
             assert got == expected, prog.source_name
             runs += 1
 

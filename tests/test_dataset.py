@@ -12,7 +12,7 @@ from isoharness.dataset import (
 from isoharness.engine import Engine, EngineConfig
 from isoharness.notation import SCHEMA_COLUMNS, And, Comparison, IsolationLevel, Or, parse_predicate
 
-from conftest import finish
+from conftest import copy_row, finish
 from oracles import eval_pred_oracle, match_count_oracle, table_rows_oracle
 
 
@@ -66,7 +66,7 @@ def test_determinism():
     assert a.rows == b.rows and [r.values for r in a.scan()] == table_rows_oracle(300)
     assert a.keys == b.keys == sorted(a.rows)
     assert a.rows is not b.rows and a.keys is not b.keys
-    edited = a.rows[100].copy()
+    edited = copy_row(a.rows[100])
     edited.values["recval"] = -1
     a.put(100, edited)
     a.put(150, Row(dict(edited.values, reckey=150)))
@@ -97,7 +97,7 @@ def test_mutating_a_table_leaves_later_tables_canonical():
     edits = {100: {"recval": -1, "k2": 7}, 30100: {"c100": -5},  # row 301 shares row 1's period slot
              60000: {"k50": 99}}
     for key, change in edits.items():
-        row = table.rows[key].copy()
+        row = copy_row(table.rows[key])
         row.values.update(change)
         table.put(key, row)
     for key in (200, 30200):

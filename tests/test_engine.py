@@ -27,7 +27,7 @@ from isoharness.engine import (
 )
 from isoharness.notation import UnknownColumn, parse_predicate
 
-from conftest import FinishingEngine, OpThread, run_text
+from conftest import FinishingEngine, OpThread, copy_row, held_locks, live_rows, run_text
 from oracles import table_rows_oracle
 
 
@@ -133,14 +133,14 @@ def test_short_read_lock_at_rc_released():
     e = make_engine()
     e.begin(1, IL.RC)
     e.read_item(1, 100)
-    assert e.held_locks(1) == []
+    assert held_locks(e, 1) == []
 
 
 def test_long_read_lock_at_rr_held():
     e = make_engine()
     e.begin(1, IL.RR)
     e.read_item(1, 100)
-    held = e.held_locks(1)
+    held = held_locks(e, 1)
     assert len(held) == 1 and held[0].duration is LockDuration.LONG
 
 
@@ -171,7 +171,7 @@ def test_write_rejects_bad_columns_before_locking():
         e.write_item(1, 100, {"k7": 1})
     with pytest.raises(InvalidWrite):
         e.write_item(1, 100, {"reckey": 150})
-    assert e.held_locks(1) == []
+    assert held_locks(e, 1) == []
     assert lock_trace(e) == [("ACQUIRE", 2, ItemResource(100), X, LONG, "")]
 
 
@@ -241,7 +241,7 @@ def test_rw_behind_committed_delete_finds_no_row():
     e.commit(1)
     with pytest.raises(RowNotFound):
         other.outcome()
-    assert [(g.resource, g.mode) for g in e.held_locks(2)] == [(ItemResource(100), X)]
+    assert [(g.resource, g.mode) for g in held_locks(e, 2)] == [(ItemResource(100), X)]
     assert e.txns[2].undo == []
     assert lock_trace(e) == [
         ("ACQUIRE", 1, ItemResource(100), X, LONG, ""),
@@ -313,7 +313,7 @@ def test_delete_own_write_visibility():
 def test_delete_rollback_restores():
     e = make_engine()
     e.begin(1, IL.RC)
-    before = e.table.rows[100].copy()
+    before = copy_row(e.table.rows[100])
     e.delete_item(1, 100)
     e.rollback(1)
     assert e.table.rows[100] == before
@@ -399,7 +399,7 @@ def test_incremental_count_waits_for_insert_then_locks_whole_range():
     rows = counter.outcome()
     assert rows == [(100,)] and "P" not in e.txns[1].cursors  # a count stores no cursor
     whole = RangeResource(0.0, float("inf"))
-    assert [(g.resource, g.mode, g.duration) for g in e.held_locks(1)] == [(whole, S, LONG)]
+    assert [(g.resource, g.mode, g.duration) for g in held_locks(e, 1)] == [(whole, S, LONG)]
     assert lock_trace(e) == [
         ("ACQUIRE", 2, ItemResource(150), X, LONG, ""),
         ("RELEASE", 2, ItemResource(150), X, LONG, "TERMINATION"),
@@ -536,6 +536,130 @@ def test_set_update_skips_row_that_leaves_predicate_while_waiting():
     ]
 
 
+def test_set_update_queues_behind_a_waiting_writer_of_its_row():
+    # T2's write of row 300 waits for T1's predicate lock (its new value would
+    # match Q).  T3's set update could be granted row 300 against the grants
+    # alone, but T2 asked first: T3 queues behind it and writes after it.
+    e = make_engine()
+    e.begin(1, IL.SR)
+    e.begin(2, IL.RC)
+    e.begin(3, IL.RC)
+    assert e.predicate_read(1, "Q", parse_predicate("recval=5"), ("recval",), "all") == []
+    writer = OpThread(e.write_item, 2, 300, {"recval": 5})
+    assert writer.still_blocked()
+    updater = OpThread(e.set_update, 3, parse_predicate("reckey<=300"), 1)
+    assert updater.still_blocked() and updater.lock.resource == ItemResource(300)
+    assert [img.reckey for img in e.txns[3].undo] == [100, 200]
+    e.commit(1)
+    assert writer.done() and updater.still_blocked()
+    e.commit(2)
+    assert updater.outcome()[0] == 3
+    assert e.table.rows[300].values["recval"] == 6
+    assert [(ev.action, ev.txn) for ev in e.lock_events if ev.resource == ItemResource(300)] == [
+        ("ACQUIRE", 2), ("RELEASE", 2), ("ACQUIRE", 3)]
+
+
+def test_set_update_queues_behind_a_waiting_predicate_read():
+    # T2's predicate lock waits for T1's exclusive lock on row 100, which is
+    # in P.  Nothing is granted on row 400, but the waiting lock covers it:
+    # T3's set update queues behind T2 instead of overtaking it.
+    e = make_engine()
+    e.begin(1, IL.RC)
+    e.begin(2, IL.SR)
+    e.begin(3, IL.RC)
+    e.write_item(1, 100, None)
+    reader = OpThread(e.predicate_read, 2, "P", parse_predicate("k3=0"), ("recval",), "all")
+    assert reader.still_blocked()
+    updater = OpThread(e.set_update, 3, parse_predicate("reckey=400"), 1)
+    assert updater.still_blocked() and updater.lock.resource == ItemResource(400)
+    e.commit(1)
+    assert reader.outcome()[:2] == [(100, 10001), (400, 40000)]
+    assert updater.still_blocked()  # now behind T2's LONG predicate lock
+    e.commit(2)
+    assert updater.outcome()[0] == 1
+
+
+def test_set_update_reuses_the_exclusive_lock_of_an_earlier_write():
+    e = make_engine()
+    e.begin(1, IL.RC)
+    e.write_item(1, 200, None)
+    count, images = e.set_update(1, parse_predicate("reckey<=300"), 1)
+    assert count == 3 and e.table.rows[200].values["recval"] == 20002
+    assert lock_trace(e) == [("ACQUIRE", 1, ItemResource(key), X, LONG, "") for key in (200, 100, 300)]
+    assert [img.reckey for img in e.txns[1].undo] == [200, 100, 200, 300]
+
+
+def test_set_update_over_long_range_locks_parks_on_its_first_row():
+    # T1's SR drain leaves LONG range locks over every key; T2's set update
+    # parks on its first row and writes every row once T1 ends.
+    e = make_engine(200, LockScope.INCREMENTAL_RANGE)
+    e.begin(1, IL.SR)
+    e.begin(2, IL.RC)
+    assert e.predicate_read(1, "P", parse_predicate("reckey<=300"), ("reckey",), "all") == [
+        (100,), (200,), (300,)]
+    updater = OpThread(e.set_update, 2, parse_predicate("k3=0"), 1)
+    assert updater.still_blocked() and updater.lock.resource == ItemResource(100)
+    assert e.txns[2].undo == []
+    e.commit(1)
+    count, images = updater.outcome()
+    rows = [100 * i for i in range(1, 201, 3)]
+    assert count == 67 and [img.reckey for img in images] == rows
+    ranges = [RangeResource(0, 100), RangeResource(100, 200), RangeResource(200, 300),
+              RangeResource(300, math.inf)]
+    # Events 8-12 stamp T1's fetch, T2's start and park, and T1's commit;
+    # after each ACQUIRE of T2 comes a stamp (settled, then each write).
+    assert [(ev.seq, ev.txn, ev.action, ev.resource, ev.mode, ev.duration, ev.reason)
+            for ev in e.lock_events] == (
+        [(4 + i, 1, "ACQUIRE", r, S, LONG, "") for i, r in enumerate(ranges)]
+        + [(13 + i, 1, "RELEASE", r, S, LONG, "TERMINATION") for i, r in enumerate(ranges)]
+        + [(17, 2, "ACQUIRE", ItemResource(100), X, LONG, "")]
+        + [(20 + 2 * i, 2, "ACQUIRE", ItemResource(key), X, LONG, "") for i, key in enumerate(rows[1:])]
+    )
+
+
+def test_set_update_makes_one_test_call_per_visited_row(monkeypatch):
+    # A row granted at once costs one call of the predicate's test (the walk)
+    # and one ACQUIRE, and enters no parking generator; only a request that
+    # queues parks, and only then is its row tested again.
+    parks = 0
+    park = Engine._park
+
+    def counted_park(self, st, req):
+        nonlocal parks
+        parks += 1
+        return park(self, st, req)
+
+    monkeypatch.setattr(Engine, "_park", counted_park)
+    for wait in (False, True):
+        pred = parse_predicate("k3=0")  # 200 of the 600 rows
+        calls = 0
+        test = pred.test
+
+        def counted(values):
+            nonlocal calls
+            calls += 1
+            return test(values)
+
+        object.__setattr__(pred, "test", counted)  # this object's test only
+        parks = 0
+        e = make_engine(600, LockScope.INCREMENTAL_RANGE)
+        e.begin(1, IL.RC)
+        e.begin(2, IL.RC)
+        if wait:
+            e.write_item(2, 700, None)
+            updater = OpThread(e.set_update, 1, pred, 1)
+            assert updater.still_blocked()
+            e.write_item(2, 1000, {"k3": 1})  # changes the table during the wait
+            e.commit(2)
+            count, images = updater.outcome()
+        else:
+            count, images = e.set_update(1, pred, 1)
+        assert count == 200 - wait
+        assert calls == 600 + wait and parks == wait
+        acquired = [ev.resource.reckey for ev in e.lock_events if ev.txn == 1]
+        assert acquired == [img.reckey for img in images]
+
+
 def test_set_select_sum():
     e = make_engine()
     e.begin(1, IL.RC)
@@ -626,11 +750,11 @@ def test_terminated_txns_hold_no_locks():
     e.read_item(1, 100)
     e.write_item(1, 200, None)
     e.commit(1)
-    assert e.held_locks(1) == []
+    assert held_locks(e, 1) == []
     e.begin(2, IL.SR)
     e.write_item(2, 300, None)
     e.rollback(2)
-    assert e.held_locks(2) == []
+    assert held_locks(e, 2) == []
 
 
 def test_commit_unknown_txn():
@@ -659,7 +783,7 @@ def test_fifo_grant_order_preserved():
 
 def test_undo_exactness_across_mixed_ops():
     e = make_engine()
-    snapshot = e.table.snapshot()
+    snapshot = live_rows(e.table)
     e.begin(1, IL.RC)
     e.write_item(1, 100, {"recval": 42})
     e.rw_item(1, 300)
@@ -667,7 +791,7 @@ def test_undo_exactness_across_mixed_ops():
     e.insert_item(1, None, {"k2": 1})
     e.set_update(1, parse_predicate("k3=2"), 7)
     e.rollback(1)
-    assert e.table.snapshot() == snapshot
+    assert live_rows(e.table) == snapshot
 
 
 # ----------------------------------------------------------------- deadlock

@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import isoharness
 from isoharness.notation import (
@@ -269,7 +269,7 @@ def test_predicate_nested_50_levels_compiles():
 
 def _nested(levels: int) -> str:
     """A predicate whose parentheses nest ``levels`` deep, each level an Or
-    holding an And, so the parsed predicate nests twice as deep."""
+    holding an And, so its And/Or nodes nest twice as deep."""
     text = "k2=0"
     for depth in range(levels):
         text = f"k3={depth} or k2=1 and ({text})"
@@ -277,11 +277,12 @@ def _nested(levels: int) -> str:
 
 
 def test_predicate_at_the_nesting_limit_renders_compiles_and_evaluates():
-    pred = parse_predicate(_nested(MAX_PREDICATE_NESTING))
+    levels = MAX_PREDICATE_NESTING // 2  # its nodes nest exactly to the limit
+    pred = parse_predicate(_nested(levels))
     for compact in (False, True):
-        assert render_predicate(pred, compact).count("k3=") == MAX_PREDICATE_NESTING
-    assert pred.source.count(" or ") == MAX_PREDICATE_NESTING
-    for values in ({"k2": 0, "k3": 100}, {"k2": 1, "k3": 99}, {"k2": 1, "k3": 100}, {"k2": 0, "k3": 0}):
+        assert render_predicate(pred, compact).count("k3=") == levels
+    assert pred.source.count(" or ") == levels
+    for values in ({"k2": 0, "k3": 100}, {"k2": 1, "k3": 49}, {"k2": 1, "k3": 50}, {"k2": 0, "k3": 0}):
         assert pred.test(values) == eval_pred_oracle(pred, values), values
 
 
@@ -293,6 +294,64 @@ def test_predicate_deeper_than_the_limit_is_a_located_syntax_error():
     column = len("PRED(P, ") + text.rindex("(") + 1
     assert (info.value.line, info.value.column, info.value.token) == (2, column, "(")
     assert "nested deeper than" in str(info.value)
+
+
+def test_predicate_nodes_deeper_than_the_limit_are_a_located_syntax_error():
+    # Its parentheses nest 51 deep, but its nodes 102: the outermost And
+    # holds an item whose nodes already nest to the limit.
+    text = _nested(MAX_PREDICATE_NESTING // 2 + 1)
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_history(f"IL1(RC)\nPRED(P, {text})")
+    column = len("PRED(P, ") + text.index(" and ") + 2
+    assert (info.value.line, info.value.column, info.value.token) == (2, column, "and")
+    assert "nested deeper than" in str(info.value)
+    # an item at the limit followed by an operator fails at that operator
+    text = f"({_nested(MAX_PREDICATE_NESTING // 2)}) or k2=1"
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_predicate(text)
+    assert (info.value.column, info.value.token) == (text.rindex(" or ") + 2, "or")
+
+
+_COMPARISONS = st.builds(Comparison, st.sampled_from(["k2", "k3", "recval"]),
+                         st.sampled_from(["=", "<>", "<", ">", "<=", ">="]), st.integers(-3, 3))
+_NODES = st.builds(lambda node, items: node(tuple(items)), st.sampled_from([And, Or]),
+                   st.lists(_COMPARISONS, min_size=2, max_size=3))
+
+
+@st.composite
+def _nested_predicates(draw, nesting):
+    """Predicates whose And/Or nodes nest ``nesting`` deep: a chain of nodes of
+    either kind under a node of comparisons, each holding the next before or
+    after a comparison or a node of comparisons."""
+    pred = draw(_NODES)
+    for _ in range(nesting - 1):
+        other = draw(st.one_of(_COMPARISONS, _NODES))
+        items = (pred, other) if draw(st.booleans()) else (other, pred)
+        pred = draw(st.sampled_from([And, Or]))(items)
+    return pred
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([MAX_PREDICATE_NESTING - 1, MAX_PREDICATE_NESTING]).flatmap(
+    lambda nesting: st.tuples(st.just(nesting), _nested_predicates(nesting))))
+def test_predicate_at_and_below_the_limit_parses_back_from_both_renderings(case):
+    nesting, pred = case
+    for compact in (False, True):
+        assert parse_predicate(render_predicate(pred, compact)) == pred
+    if nesting == MAX_PREDICATE_NESTING:  # one node more is rejected
+        deeper = Or((pred, Comparison("k2", "=", 0)))
+        for compact in (False, True):
+            with pytest.raises(HistorySyntaxError, match="nested deeper than"):
+                parse_predicate(render_predicate(deeper, compact))
+
+
+def test_and_inside_and_renders_as_its_own_node():
+    pred = parse_predicate("k2=0 and (k3=1 and k5<4)")
+    assert pred == And((Comparison("k2", "=", 0), And((Comparison("k3", "=", 1), Comparison("k5", "<", 4)))))
+    assert render_predicate(pred) == "k2=0 and (k3=1 and k5<4)"
+    assert render_predicate(pred, compact=True) == "(k2=0)and((k3=1)and(k5<4))"
+    for compact in (False, True):
+        assert parse_predicate(render_predicate(pred, compact)) == pred
 
 
 def test_comparison_fields_cannot_inject_code(capsys):

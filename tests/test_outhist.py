@@ -19,14 +19,14 @@ from isoharness.outhist import (
     serialize,
 )
 
-from conftest import run_text
+from conftest import copy_row, run_text
 
 
 def _image(reckey=100, before_val=10000, after_val=1001):
     table = build_canonical_table(200)
-    before = table.rows[reckey].copy()
+    before = copy_row(table.rows[reckey])
     before.values["recval"] = before_val
-    after = table.rows[reckey].copy()
+    after = copy_row(table.rows[reckey])
     after.values["recval"] = after_val
     return WriteImage(reckey, before, after)
 
@@ -73,7 +73,7 @@ def test_insert_and_delete_images_roundtrip():
     )
     dele = OutputRecord(
         2, 2, 1, "D1(A=100)", "OK",
-        images=[WriteImage(100, table.rows[100].copy(), None)],
+        images=[WriteImage(100, copy_row(table.rows[100]), None)],
     )
     oh = OutputHistory(records=[ins, dele])
     assert parse_output(serialize(oh)) == oh
