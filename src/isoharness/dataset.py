@@ -37,6 +37,9 @@ DEFAULT_ROW_COUNT = 200
 class Row:
     values: Dict[str, int]
     tombstone: bool = False
+    #: The row's image side as ``outhist.encode_image_side`` wrote it, once it
+    #: has: a row is never changed once made, so the text stays its encoding.
+    side_text: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def reckey(self) -> int:

@@ -13,20 +13,22 @@ transaction final statuses.  Every successful write record carries full
 before/after row images (one BEFORE/AFTER pair per written row), which is
 what lets the analyzer decide predicate membership after the fact.
 
-A record made by the monitor keeps the engine's :class:`engine.WriteImage`
-objects, and :func:`serialize` encodes each image once, through
-:func:`encode_image`.  :func:`parse_output` reads the fields after the status
-with :func:`decode_fields` and keeps each image as its text
-(:class:`ImageText`): it checks every side as it reads it, decodes a side only
-when a Row is needed, and :func:`serialize` writes the kept text verbatim.
+A record made by the monitor keeps the engine's value list and
+:class:`engine.WriteImage` objects; :func:`serialize` encodes a row's image
+side once and keeps it in the ``Row``.  :func:`parse_output` checks the fields
+after the status as it reads them, a ``VALUES=`` payload by one regex and the
+images by one findall, and keeps each as its text (:class:`ValuesText`,
+:class:`ImageText`), decoded only when used and written back verbatim.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .dataset import Row
@@ -61,7 +63,7 @@ class OutputRecord:
     status: str
     resumed_of: Optional[int] = None
     error_code: Optional[str] = None
-    values: Optional[list] = None
+    values: Optional[Sequence] = None
     images: List[WriteImage] = field(default_factory=list)
 
     def completes(self) -> bool:
@@ -105,7 +107,10 @@ class OutputHistory:
 _SIDE_FORMAT = ";".join(f"{col}:%d" for col in SCHEMA_COLUMNS)
 _SIDE_VALUES = operator.itemgetter(*SCHEMA_COLUMNS)
 # Without re.ASCII, \d is Unicode category Nd: the digits str.isdecimal() accepts.
-_SIDE_RE = re.compile(";".join(f"{col}:(-?\\d+)" for col in SCHEMA_COLUMNS))
+_SIDE = ";".join(f"{col}:(-?\\d+)" if col == "reckey" else f"{col}:-?\\d+" for col in SCHEMA_COLUMNS)
+# An image as serialize writes it, from the space before it: each side's text and reckey.
+_IMAGE_RE = re.compile(f" BEFORE=(ABSENT|{_SIDE}) AFTER=(ABSENT|{_SIDE})")
+_VALUES_RE = re.compile(r"-?\d+(?:[:,]-?\d+)*")  # a VALUES payload other than "-"
 
 
 def _number(text: str) -> int:
@@ -118,9 +123,12 @@ def _number(text: str) -> int:
 
 
 def encode_image_side(row: Optional[Row]) -> str:
+    """A row's image side, encoded once and kept in the row."""
     if row is None:
         return "ABSENT"
-    return _SIDE_FORMAT % _SIDE_VALUES(row.values)
+    if row.side_text is None:
+        row.side_text = _SIDE_FORMAT % _SIDE_VALUES(row.values)
+    return row.side_text
 
 
 def decode_image_side(text: str) -> Optional[Row]:
@@ -138,13 +146,6 @@ def decode_image_side(text: str) -> Optional[Row]:
     return Row(values)
 
 
-def _side_reckey(text: str) -> int:
-    """The reckey of a side other than ABSENT, read from the text where it is in
-    schema order; raises ValueError where :func:`decode_image_side` does."""
-    m = _SIDE_RE.fullmatch(text)
-    return int(m.group(1)) if m is not None else decode_image_side(text).reckey
-
-
 def encode_image(image: WriteImage) -> str:
     """The ``BEFORE=`` and ``AFTER=`` fields of one image; kept text is written verbatim."""
     if isinstance(image, ImageText):
@@ -155,16 +156,20 @@ def encode_image(image: WriteImage) -> str:
 
 
 class ImageText(WriteImage):
-    """A write image kept as its record text.  A side that
-    :func:`decode_image_side` rejects raises ValueError at once; each side is
-    decoded on first use, and :func:`serialize` writes the text back verbatim."""
+    """A write image kept as its checked record text: each side is decoded on
+    first use, and :func:`serialize` writes the text back verbatim."""
 
-    def __init__(self, before: str, after: str):
+    def __init__(self, before: str, after: str, reckey: int):
+        self.texts = (before, after)
+        self.reckey = reckey
+
+    @classmethod
+    def checked(cls, before: str, after: str) -> ImageText:
+        """Raises ValueError for a side :func:`decode_image_side` rejects."""
         if before == after == "ABSENT":
             raise ValueError("image with both sides ABSENT")
-        self.texts = (before, after)
-        before_key = None if before == "ABSENT" else _side_reckey(before)
-        self.reckey = before_key if after == "ABSENT" else _side_reckey(after)
+        sides = decode_image_side(before), decode_image_side(after)
+        return cls(before, after, (sides[1] or sides[0]).reckey)
 
     @cached_property
     def before(self) -> Optional[Row]:
@@ -180,34 +185,62 @@ class ImageText(WriteImage):
         return (self.reckey, self.before, self.after) == (other.reckey, other.before, other.after)
 
 
-def encode_values(values: list) -> str:
+def encode_values(values: Sequence) -> str:
+    """A ``VALUES=`` payload.  Kept text is written verbatim; numbers, or rows
+    of one width as a fetch returns them, are formatted in one pass."""
+    if isinstance(values, ValuesText):
+        return values.text
     if not values:
         return "-"
-    parts = []
-    for v in values:
-        if isinstance(v, tuple):
-            parts.append(":".join(str(x) for x in v))
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return ",".join(map(str, values))
+    if kinds == {tuple} and len(set(map(len, values))) == 1:
+        row = ":".join(["%s"] * len(values[0]))
+        return ",".join([row] * len(values)) % tuple(chain.from_iterable(values))
+    return ",".join([":".join(map(str, v)) if type(v) is tuple else str(v) for v in values])
 
 
 def decode_values(text: str) -> list:
     if text == "-":
         return []
-    out = []
-    for part in text.split(","):
-        if ":" in part:
-            out.append(tuple(_number(x) for x in part.split(":")))
-        else:
-            out.append(_number(part))
-    return out
+    return [tuple(map(_number, part.split(":"))) if ":" in part else _number(part)
+            for part in text.split(",")]
 
 
-def decode_fields(tokens) -> Tuple[Optional[list], List[WriteImage]]:
+class ValuesText:
+    """A ``VALUES=`` payload kept as its record text: a payload that
+    :func:`decode_values` rejects raises ValueError at once, the payload is
+    decoded into the same list on first use, and :func:`serialize` writes the
+    text back verbatim."""
+
+    def __init__(self, text: str):
+        if text != "-" and _VALUES_RE.fullmatch(text) is None:
+            decode_values(text)  # names the first bad number
+            raise ValueError(f"bad values {text!r}")
+        self.text = text
+
+    @cached_property
+    def decoded(self) -> list:
+        return decode_values(self.text)
+
+    def __getitem__(self, index):
+        return self.decoded[index]
+
+    def __len__(self) -> int:
+        return len(self.decoded)
+
+    def __eq__(self, other):
+        return self.decoded == (other.decoded if isinstance(other, ValuesText) else other)
+
+    def __repr__(self) -> str:
+        return f"ValuesText({self.text!r})"
+
+
+def decode_fields(tokens) -> Tuple[Optional[Sequence], List[WriteImage]]:
     """Decode the fields after a record's status, ``VALUES=`` and paired
-    ``BEFORE=``/``AFTER=`` tokens, into (values, images).  Each image is kept
-    as :class:`ImageText`.  Raises ValueError."""
+    ``BEFORE=``/``AFTER=`` tokens, into (values, images), each kept as its
+    text.  Raises ValueError, naming what is wrong."""
     values = None
     images: List[WriteImage] = []
     pending_before: Optional[str] = None
@@ -216,7 +249,7 @@ def decode_fields(tokens) -> Tuple[Optional[list], List[WriteImage]]:
         if not sep:
             raise ValueError(f"stray token {token!r}")
         if key == "VALUES":
-            values = decode_values(payload)
+            values = ValuesText(payload)
         elif key == "BEFORE":
             if pending_before is not None:
                 raise ValueError("BEFORE without matching AFTER")
@@ -224,13 +257,33 @@ def decode_fields(tokens) -> Tuple[Optional[list], List[WriteImage]]:
         elif key == "AFTER":
             if pending_before is None:
                 raise ValueError("AFTER without BEFORE")
-            images.append(ImageText(pending_before, payload))
+            images.append(ImageText.checked(pending_before, payload))
             pending_before = None
         else:
             raise ValueError(f"unknown field {key!r}")
     if pending_before is not None:
         raise ValueError("BEFORE without matching AFTER")
     return values, images
+
+
+def _decode_tail(line: str, start: int) -> Tuple[Optional[Sequence], List[WriteImage]]:
+    """:func:`decode_fields` of ``line`` from ``start``, the space before the first
+    field.  A leading ``VALUES=`` and images with sides ABSENT or in schema order
+    are checked by one findall, whose matches must tile the rest of the line."""
+    values = None
+    pos = start
+    if line.startswith(" VALUES=", pos):
+        end = line.find(" ", pos + 8)
+        pos = len(line) if end < 0 else end
+        values = ValuesText(line[start + 8:pos])
+    if pos == len(line):
+        return values, []
+    found = _IMAGE_RE.findall(line, pos)
+    size = len(" BEFORE= AFTER=") * len(found) + sum([len(b) + len(a) for b, _, a, _ in found])
+    if pos + size != len(line) or ("ABSENT", "", "ABSENT", "") in found:
+        return decode_fields(line[start + 1:].split(" "))
+    return values, [ImageText(before, after, int(after_key or before_key))
+                    for before, before_key, after, after_key in found]
 
 
 def _status_text(rec: OutputRecord) -> str:
@@ -250,6 +303,9 @@ def _record_line(rec: OutputRecord) -> str:
 
 
 _BOOL = {"yes": True, "no": False}
+# Header keys read into a RunHeader field of the same name, and how.
+_HEADER_FIELDS = {"name": str, "lock-scope": str, "strictness": str, "default-level": str,
+                  "rows": _number, "ru-writes-allowed": _BOOL.__getitem__, "stuck": _BOOL.__getitem__}
 # Written by older versions: the run mode and the stuck guard's timeout.
 _RETIRED_KEYS = ("mode", "timeout")
 
@@ -275,10 +331,11 @@ def serialize(oh: OutputHistory) -> str:
 
 
 _TXN_FROM_OP = re.compile(r"^[A-Za-z]+(\d+)")
+_HEADER = re.compile(r"#\s*([\w-]+):\s*(.*)$")
 
 
 def _parse_record_line(line: str, line_no: int) -> OutputRecord:
-    parts = line.split(" ")
+    parts = line.split(" ", 4)
     if len(parts) < 4:
         raise FormatError("record needs seq, submit_seq, op, status", line_no, line)
     try:
@@ -303,7 +360,8 @@ def _parse_record_line(line: str, line_no: int) -> OutputRecord:
     else:
         raise FormatError(f"unknown status {status_token!r}", line_no, line)
     try:
-        rec.values, rec.images = decode_fields(parts[4:])
+        if len(parts) == 5:
+            rec.values, rec.images = _decode_tail(line, len(line) - len(parts[4]) - 1)
     except ValueError as exc:
         raise FormatError(str(exc), line_no, line)
     return rec
@@ -318,39 +376,23 @@ def parse_output(text: str) -> OutputHistory:
         if not line:
             continue
         if line.startswith("#"):
-            m = re.match(r"#\s*([\w-]+):\s*(.*)$", line)
+            m = _HEADER.match(line)
             if not m:
                 raise FormatError("bad header line", line_no, line)
             key, value = m.group(1), m.group(2).strip()
             try:
-                if key == "name":
-                    h.name = value
-                elif key in _RETIRED_KEYS:
-                    pass
-                elif key == "lock-scope":
-                    h.lock_scope = value
-                elif key == "strictness":
-                    h.strictness = value
-                elif key == "default-level":
-                    h.default_level = value
-                elif key == "rows":
-                    h.rows = _number(value)
-                elif key == "ru-writes-allowed":
-                    h.ru_writes_allowed = _BOOL[value]
-                elif key == "stuck":
-                    h.stuck = _BOOL[value]
+                if key in _HEADER_FIELDS:
+                    setattr(h, key.replace("-", "_"), _HEADER_FIELDS[key](value))
                 elif key == "levels":
                     h.levels = _parse_assignments(value)
                     for level in h.levels.values():
                         if level not in IsolationLevel.__members__:
                             raise ValueError(f"unknown isolation level {level!r}")
                 elif key == "meta":
-                    h.meta = dict(
-                        part.split("=", 1) for part in value.split(" ") if part
-                    )
+                    h.meta = dict(part.split("=", 1) for part in value.split(" ") if part)
                 elif key == "final":
                     oh.finals = _parse_assignments(value)
-                else:
+                elif key not in _RETIRED_KEYS:
                     raise ValueError(f"unknown header key {key!r}")
             except (ValueError, KeyError) as exc:
                 raise FormatError(str(exc), line_no, line)
@@ -360,10 +402,5 @@ def parse_output(text: str) -> OutputHistory:
 
 
 def _parse_assignments(value: str) -> dict:
-    out = {}
-    for part in value.split(" "):
-        if not part:
-            continue
-        txn, _, status = part.partition("=")
-        out[_number(txn)] = status
-    return out
+    pairs = (part.partition("=") for part in value.split(" ") if part)
+    return {_number(txn): status for txn, _, status in pairs}

@@ -5,10 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from isoharness import dataset
+from isoharness import dataset, outhist
 from isoharness.engine import Engine, EngineConfig
 from isoharness.executor import ExecutorConfig, Monitor
-from isoharness.notation import parse_history
+from isoharness.notation import SCHEMA_COLUMNS, parse_history
 
 #: The engine operations that can park: generators that yield each lock
 #: request they park on and return the operation's result.
@@ -20,7 +20,8 @@ PARKING_OPS = ("read_item", "write_item", "rw_item", "delete_item", "insert_item
 def shared_rows_stay_canonical():
     """Every table of a row count shares that count's canonical rows, so an
     edit of one would reach every later table: at the end of the run, each
-    set of shared rows handed out must still be canonical."""
+    set of shared rows handed out must still be canonical, and so must the
+    image text each of them keeps once encoded."""
     handed_out = {}
     cached = dataset._canonical_rows
 
@@ -36,6 +37,12 @@ def shared_rows_stay_canonical():
         assert keys == [100 * i for i in range(1, row_count + 1)], f"{row_count} rows: keys changed"
         changed = [k for k in keys if rows.get(k) != dataset.initial_row(k // 100)]
         assert len(rows) == row_count and not changed, f"{row_count} rows: rows {changed[:5]} changed"
+        stale = [k for k, row in rows.items() if row.side_text not in (None, _side_format(row))]
+        assert not stale, f"{row_count} rows: rows {stale[:5]} keep a stale image text"
+
+
+def _side_format(row: dataset.Row) -> str:
+    return outhist._SIDE_FORMAT % tuple(row.values[col] for col in SCHEMA_COLUMNS)
 
 
 def held_locks(engine: Engine, txn: int) -> list:

@@ -386,3 +386,127 @@ def test_judging_a_set_update_decodes_a_handful_of_sides(monkeypatch):
     assert judgment.pairs[0].second_blocked
     # the fourth image is the first whose row has k5=0
     assert len(calls) <= 2 * 4, len(calls)
+
+
+# ------------------------------------------------------------ kept VALUES
+
+_DIGITS = "0123456789\u0663\u0967\uff11"  # with Arabic-Indic, Devanagari and fullwidth digits
+_VALUE_NUMBERS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), st.text(alphabet=_DIGITS, min_size=1, max_size=4)),
+    st.integers(-10**12, 10**12).map(str),
+)
+_BAD_NUMBERS = st.sampled_from(["", "-", "--1", "+5", "1_0", " 5", "\u00b2", "1-2", "5-"])
+
+
+@st.composite
+def _values_payloads(draw):
+    """Payloads near the VALUES language: values of one to four numbers (so
+    widths mix) with up to two edits, "-", or arbitrary text."""
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return "-"
+    if choice == 1:
+        return draw(st.text(alphabet=_DIGITS[:3] + "-+_:,\u00b2", max_size=12))
+    parts = draw(st.lists(st.lists(_VALUE_NUMBERS, min_size=1, max_size=4), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if choice > 5 else 0):
+        numbers = parts[draw(st.integers(0, len(parts) - 1))]
+        if draw(st.booleans()):
+            numbers[draw(st.integers(0, len(numbers) - 1))] = draw(_BAD_NUMBERS)
+        else:
+            numbers.insert(draw(st.integers(0, len(numbers))), draw(st.sampled_from(["", ":", ","])))
+    return ",".join(":".join(numbers) for numbers in parts)
+
+
+@settings(max_examples=250)
+@given(_values_payloads())
+def test_values_check_accepts_what_the_number_rule_accepts(text):
+    expected = _outcome(outhist.decode_values, text)
+    accepted = text == "-" or outhist._VALUES_RE.fullmatch(text) is not None
+    assert accepted == (expected is not ValueError)
+    if accepted:
+        kept = outhist.ValuesText(text)
+        assert kept.decoded == expected and kept == expected and expected == kept
+        assert [type(v) for v in kept] == [type(v) for v in expected]
+    else:
+        with pytest.raises(ValueError):
+            outhist.ValuesText(text)
+
+
+_VALUES_FILE = serialize(OutputHistory(
+    records=[OutputRecord(1, 1, 1, "C1", "OK"),
+             OutputRecord(2, 2, 1, "PR1(P;reckey;all)", "OK", values=[0])],
+    finals={1: "COMMITTED"},
+))
+_VALUES_LINE = _VALUES_FILE.splitlines().index("2 2 PR1(P;reckey;all) OK VALUES=0") + 1
+
+
+def _values_file(payload):
+    return _VALUES_FILE.replace(" VALUES=0\n", f" VALUES={payload}\n")
+
+
+@settings(max_examples=150)
+@given(_values_payloads())
+def test_values_payload_round_trips_as_written(payload):
+    text = _values_file(payload)
+    try:
+        parsed = parse_output(text)
+    except FormatError as exc:
+        assert exc.line_no == _VALUES_LINE
+        assert _outcome(outhist.decode_values, payload) is ValueError
+    else:
+        assert serialize(parsed) == text
+        assert parsed.records[1].values == outhist.decode_values(payload)
+
+
+@pytest.mark.parametrize("payload", ["+5", "1_0", "1,,2", ",1", "1,", "", "1::2", "1:", "5-", "1,-"])
+def test_rejected_values_payload_is_a_format_error_on_its_line(payload):
+    with pytest.raises(FormatError) as info:
+        parse_output(_values_file(payload))
+    assert info.value.line_no == _VALUES_LINE
+
+
+def test_values_payload_kept_as_written():
+    parsed = parse_output(_values_file("007,-0,1:\u0663"))
+    assert parsed.records[1].values == [7, 0, (1, 3)]
+    assert "VALUES=007,-0,1:\u0663" in serialize(parsed)
+
+
+@pytest.mark.parametrize("values, payload", [
+    ([], "-"),
+    ([5, -3], "5,-3"),
+    ([(100, 1), (200, -2)], "100:1,200:-2"),
+    ([(1, 2, 3), 4, (5, 6)], "1:2:3,4,5:6"),  # mixed widths
+    ([(1, 2), (3, 4, 5)], "1:2,3:4:5"),
+])
+def test_encoded_values_parse_back(values, payload):
+    assert outhist.encode_values(values) == payload
+    assert outhist.ValuesText(payload) == values
+
+
+def test_judging_a_scan_decodes_no_values_and_no_image_before_it_is_needed(monkeypatch):
+    decoded = {"values": 0, "sides": 0}
+    decode_values, decode_side = outhist.decode_values, outhist.decode_image_side
+
+    def counting(kind, decode):
+        def count(text):
+            decoded[kind] += 1
+            return decode(text)
+        return count
+
+    monkeypatch.setattr(outhist, "decode_values", counting("values", decode_values))
+    monkeypatch.setattr(outhist, "decode_image_side", counting("sides", decode_side))
+    oh, _ = run_text(
+        "PRED(P1, k2=0 and k3=1) PRED(P2, k2=0 and k3=1) PRED(P3, k2=0 and k3=1) "
+        "PRED(P4, k2=0 and k3=1) IL1(RR) IL2(RC) PR1(P1;reckey;all) PR1(P2;recval;100) "
+        "PR1(P2;recval;all) PR1(P3;count(*);all) SS1(P4, sum(recval)) "
+        "I2(N;reckey;recval;k2;k3, 1250;7;0;1) C1 C2",
+        rows=2000,
+    )
+    parsed = parse_output(serialize(oh))
+    assert decoded == {"values": 0, "sides": 0}
+    judgment = analyze_history(parsed)
+    assert {p.cls for p in judgment.pairs} == {"pr_w"}  # each of T1's five reads
+    assert judgment.verdict.value == "CONFORMS"
+    assert decoded["values"] == 0  # the judge reads no VALUES
+    assert decoded["sides"] <= 2  # only the insert's image
+    assert parsed == oh
