@@ -67,11 +67,12 @@ def test_large_drain_is_not_stuck(tmp_path, scope):
 
 def test_run_verbose_mirrors_records(tmp_path, capsys):
     hist = tmp_path / "v.hist"
-    hist.write_text("IL1(RC) W1(A, 1001) C1\n")
+    hist.write_text("IL1(RC) IL2(RC) W1(A, 1001) W2(A, 5) C1 C2\n")
     out = tmp_path / "v.outhist"
     assert main(["run", str(hist), "-o", str(out), "--verbose"]) == 0
-    printed = capsys.readouterr().out
-    assert "W1(A=100,1001) OK" in printed
+    records = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert " BLOCKED" in records[3] and " RESUMED=" in records[5]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in records)
 
 
 def test_campaign_has_no_verbose_option(capsys):

@@ -254,6 +254,17 @@ def test_request_outcome_is_what_its_record_reads_back(step):
     assert parse_output(serialize(oh)).records[3] == rec
 
 
+@pytest.mark.parametrize("text, line", [
+    ("IL1(RC) I1(N;reckey, 0) C1", "2 2 I1(N;reckey,0) ERROR=InvalidWrite"),
+    # an RU read of a row whose delete is not yet committed
+    ("IL1(RC) IL2(RU) D1(A) R2(A) C1 C2", "4 4 R2(A=100) ERROR=RowNotFound"),
+])
+def test_engine_error_becomes_its_record(text, line):
+    oh, _ = run_text(text)
+    assert line in serialize(oh).splitlines()
+    assert oh.finals == {txn: "COMMITTED" for txn in oh.header.levels}
+
+
 def test_worker_failure_becomes_an_error_record(monkeypatch):
     # an engine operation that raises a non-engine exception gives an
     # InternalError record, and the run goes on to its end

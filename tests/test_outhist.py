@@ -320,6 +320,27 @@ def test_parse_output_accepts_permuted_columns(before):
     assert serialize(oh).splitlines()[-2] == line  # the text is kept verbatim
 
 
+@pytest.mark.parametrize("fields, message", [
+    (f"BEFORE={_SIDE_100} BEFORE={_SIDE_100} AFTER=ABSENT", "BEFORE without matching AFTER"),
+    ("AFTER=ABSENT", "AFTER without BEFORE"),
+    ("FOO=1", "unknown field 'FOO'"),
+    ("stray", "stray token 'stray'"),
+])
+def test_bad_record_field_is_a_format_error_on_its_line(fields, message):
+    line = f"1 1 W1(A=100,1) OK {fields}"
+    with pytest.raises(FormatError) as info:
+        parse_output(f"# name: t\n{line}\n# final:\n")
+    assert info.value.line_no == 2
+    assert str(info.value) == f"line 2: {message}: {line!r}"
+
+
+def test_values_after_an_image_are_read_field_by_field():
+    line = f"1 1 RW1(A=100) OK BEFORE=ABSENT AFTER={_PERMUTED_100} VALUES=1"
+    rec = parse_output(f"{line}\n# final:\n").records[0]
+    assert rec.values == [1]
+    assert len(rec.images) == 1 and rec.images[0].after == _ROW_100
+
+
 # ------------------------------------------------------------ lazy images
 
 

@@ -1,7 +1,8 @@
 """Golden digests of the reference runs: what each run writes and how it locks.
 
 Each reference run is one history on a fresh engine: every history of the six
-reference campaigns, and three long histories written below.  Its digest is a
+reference campaigns, three long histories and the short ones written below,
+and the RU scenario with and without RU writes.  Its digest is a
 short SHA-256 over the serialized output history and the engine's lock events,
 encoded field by field.  ``reference_runs.sha256`` holds one digest per run, so
 a failure names the first run whose records or lock schedule changed.
@@ -28,7 +29,7 @@ from isoharness.engine import (
     RangeResource,
 )
 from isoharness.executor import ExecutorConfig, Monitor
-from isoharness.generator import DEFAULT_VARIANT, generate_matrix
+from isoharness.generator import DEFAULT_VARIANT, generate_matrix, ru_scenario
 from isoharness.notation import parse_history, render_predicate
 from isoharness.outhist import serialize
 
@@ -57,6 +58,16 @@ LONG_HISTORIES = (
 )
 
 
+#: Runs no campaign makes: a transaction begun implicitly, at RC or at the
+#: history's ``default_level``, and a run that ends stuck.  (name, text).
+SHORT_HISTORIES = (
+    ("implicit_begins_at_rc", "W1(A, 5) R2(A) C1 C2"),
+    ("implicit_begin_at_metadata_level",
+     "#: default_level=SR\nPRED(P, k2=0) PR1(P;reckey;all) IL2(RC) W2(A, 5) C1 C2"),
+    ("stuck_with_t2_blocked", "W1(A, 5) W2(A, 6) W2(B, 1) C2"),
+)
+
+
 def reference_runs():
     """(run name, program, config) of every reference run, in file order."""
     for flags in CAMPAIGNS:
@@ -67,6 +78,11 @@ def reference_runs():
             yield f"campaign {flags} :: {prog.source_name}".replace("  ", " "), prog, config
     for name, rows, text in LONG_HISTORIES:
         yield f"history :: {name}", parse_history(text, source_name=name), ExecutorConfig(rows=rows)
+    for name, text in SHORT_HISTORIES:
+        yield f"history :: {name}", parse_history(text, source_name=name), ExecutorConfig()
+    yield "history :: ru_scenario", ru_scenario(), ExecutorConfig()
+    yield ("history :: ru_scenario --ru-writes-allowed", ru_scenario(),
+           ExecutorConfig(engine=EngineConfig(ru_writes_allowed=True)))
 
 
 def _bound(x) -> str:
