@@ -37,8 +37,22 @@ _LOCK_SCOPES = {
 }
 
 
+def _add_matrix_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--classes", default=None, help="comma-separated subset of " + ",".join(ALL_CLASSES))
+    parser.add_argument("--levels", default=None, help="comma-separated subset of RC,RR,SR")
+    parser.add_argument("--variants", default=None,
+                        help="predicate-change variants (insert,delete,set_update,partial)")
+
+
+def _matrix_args(args) -> tuple:
+    """``generate_matrix``'s (levels, classes, variants), from the matrix options."""
+    levels = [IsolationLevel[l] for l in args.levels.split(",")] if args.levels else None
+    classes = args.classes.split(",") if args.classes else None
+    variants = tuple(args.variants.split(",")) if args.variants else (DEFAULT_VARIANT,)
+    return levels, classes, variants
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--default-level", choices=("RU", "RC", "RR", "SR"), default=None)
     parser.add_argument("--rows", type=int, default=200, help="table size, multiple of 100")
     parser.add_argument("--lock-scope", choices=tuple(_LOCK_SCOPES), default="predicate",
                         help="table: incremental range locking without a key index")
@@ -47,19 +61,13 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="let RU transactions write (reproduces permissive systems)")
 
 
-def _exec_config(args, verbose: bool = False) -> ExecutorConfig:
+def _exec_config(args) -> ExecutorConfig:
     engine = EngineConfig(
         lock_scope=_LOCK_SCOPES[args.lock_scope],
         strictness=Strictness.PER_LEVEL if args.strictness == "per-level" else Strictness.STRICT_ALL_LONG,
         ru_writes_allowed=args.ru_writes_allowed,
     )
-    level = IsolationLevel[args.default_level] if args.default_level else None
-    return ExecutorConfig(
-        default_level=level,
-        rows=args.rows,
-        engine=engine,
-        verbose=verbose,
-    )
+    return ExecutorConfig(rows=args.rows, engine=engine)
 
 
 # ----------------------------------------------------------------- campaign
@@ -182,10 +190,7 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    levels = [IsolationLevel[l] for l in args.levels.split(",")] if args.levels else None
-    classes = args.classes.split(",") if args.classes else None
-    variants = tuple(args.variants.split(",")) if args.variants else (DEFAULT_VARIANT,)
-    programs = generate_matrix(levels, classes, variants)
+    programs = generate_matrix(*_matrix_args(args))
     if args.ru:
         programs.append(ru_scenario())
     out = Path(args.out)
@@ -209,9 +214,12 @@ def cmd_run(args) -> int:
     except NotationError as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
         return 1
-    output = run_history(prog, _exec_config(args, args.verbose))
+    output = run_history(prog, _exec_config(args))
     out_path = Path(args.out) if args.out else path.with_suffix(".outhist")
-    out_path.write_text(serialize(output))
+    text = serialize(output)
+    out_path.write_text(text)
+    if args.verbose:
+        sys.stdout.writelines(line + "\n" for line in text.splitlines() if not line.startswith("#"))
     if output.header.stuck:
         print(f"history stuck; partial output written to {out_path}", file=sys.stderr)
         return 2
@@ -260,16 +268,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    levels = [IsolationLevel[l] for l in args.levels.split(",")] if args.levels else None
-    classes = args.classes.split(",") if args.classes else None
-    variants = tuple(args.variants.split(",")) if args.variants else (DEFAULT_VARIANT,)
-    report = run_campaign(
-        _exec_config(args),
-        levels=levels,
-        classes=classes,
-        variants=variants,
-        out_dir=Path(args.out) if args.out else None,
-    )
+    report = run_campaign(_exec_config(args), *_matrix_args(args),
+                          out_dir=Path(args.out) if args.out else None)
     print(report.human_table())
     print()
     for line in report.machine_lines():
@@ -291,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dataset.set_defaults(func=cmd_dataset)
 
     p_gen = sub.add_parser("gen", help="generate conflict histories")
-    p_gen.add_argument("--classes", default=None, help="comma-separated subset of " + ",".join(ALL_CLASSES))
-    p_gen.add_argument("--levels", default=None, help="comma-separated subset of RC,RR,SR")
-    p_gen.add_argument("--variants", default=None, help="predicate-change variants (insert,delete,set_update,partial)")
+    _add_matrix_options(p_gen)
     p_gen.add_argument("--ru", action="store_true", help="also write the RU scenario history")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one history file")
     p_run.add_argument("history")
     p_run.add_argument("-o", "--out", default=None)
-    p_run.add_argument("--verbose", action="store_true", help="print each record as it is made")
+    p_run.add_argument("--verbose", action="store_true", help="print each record of the written file")
     _add_run_options(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -310,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_campaign = sub.add_parser("campaign", help="generate, run, and analyze the full matrix")
-    p_campaign.add_argument("--classes", default=None)
-    p_campaign.add_argument("--levels", default=None)
-    p_campaign.add_argument("--variants", default=None)
+    _add_matrix_options(p_campaign)
     p_campaign.add_argument("--out", default=None, help="directory for .outhist files")
     _add_run_options(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)

@@ -45,11 +45,6 @@ class Row:
     def reckey(self) -> int:
         return self.values["reckey"]
 
-    def __eq__(self, other):
-        if not isinstance(other, Row):
-            return NotImplemented
-        return self.values == other.values and self.tombstone == other.tombstone
-
 
 def initial_row(i: int) -> Row:
     """The i-th (1-based) row of the canonical table."""
@@ -59,19 +54,14 @@ def initial_row(i: int) -> Row:
 
 @dataclass
 class CanonicalTable:
-    rows: Dict[int, Row] = field(default_factory=dict)
-    row_count: int = 0
-    #: Every key of ``rows``, tombstones included, in ascending order; sorted
-    #: from ``rows`` unless given.  Keys are added and removed only through
-    #: :meth:`put` and :meth:`drop`.
-    keys: Optional[List[int]] = None
+    rows: Dict[int, Row]
+    row_count: int
+    #: Every key of ``rows``, tombstones included, in ascending order.  Keys
+    #: are added and removed only through :meth:`put` and :meth:`drop`.
+    keys: List[int]
     #: Bumped by every change to the rows, which is a :meth:`put` or a
     #: :meth:`drop`: a walk that finds it unchanged still stands.
     version: int = field(default=0, init=False, compare=False)
-
-    def __post_init__(self):
-        if self.keys is None:
-            self.keys = sorted(self.rows)
 
     def put(self, key: int, row: Row) -> None:
         if key not in self.rows:

@@ -201,7 +201,6 @@ class LockRequest:
 class CursorState:
     position: int = 0  # last reckey returned
     frontier: float = 0.0  # highest key covered by range locks (incremental)
-    exhausted: bool = False
 
 
 MAX_CURSORS_PER_TXN = 8
@@ -211,7 +210,6 @@ MAX_CURSORS_PER_TXN = 8
 class TxnState:
     txn: int
     level: IsolationLevel
-    begin_seq: int
     status: TxnStatus = TxnStatus.ACTIVE
     cursors: Dict[str, CursorState] = field(default_factory=dict)
     undo: List[WriteImage] = field(default_factory=list)
@@ -269,15 +267,14 @@ class Engine:
     def __init__(self, table: CanonicalTable, config: Optional[EngineConfig] = None):
         self.table = table
         self.config = config or EngineConfig()
-        self.txns: Dict[int, TxnState] = {}
+        self.txns: Dict[int, TxnState] = {}  # in begin order; no entry is ever removed
         self.lock_events: List[LockEvent] = []
         # The lock table: exclusive grants by reckey, and shared ones by
         # reckey, or by resource for predicate and range locks, then by txn.
         self._x_grants: Dict[int, LockRequest] = {}
         self._s_items: Dict[int, Dict[int, LockRequest]] = {}
         self._s_sets: Dict[object, Dict[int, LockRequest]] = {}
-        self._waiters: List[LockRequest] = []
-        self._begin_counter = 0
+        self._waiters: List[LockRequest] = []  # the unsettled requests, in request order
         self._events = count(1)  # the engine's event numbers, in order
 
     # ------------------------------------------------------------------ txns
@@ -285,9 +282,7 @@ class Engine:
     def begin(self, txn: int, level: IsolationLevel) -> TxnState:
         if txn in self.txns:
             raise DuplicateTxn(f"transaction {txn} already began")
-        self._begin_counter += 1
-        state = TxnState(txn=txn, level=level, begin_seq=self._begin_counter)
-        self.txns[txn] = state
+        state = self.txns[txn] = TxnState(txn, level)
         state.last_event = next(self._events)
         return state
 
@@ -423,7 +418,7 @@ class Engine:
             if g.txn not in out and self._conflict(req, g):
                 out.add(g.txn)
         for other in queue_prefix:
-            if other.outcome is None and other.txn not in out and self._conflict(req, other):
+            if other.txn not in out and self._conflict(req, other):
                 out.add(other.txn)
         return out
 
@@ -431,8 +426,6 @@ class Engine:
         """FIFO scan of the wait queue, granting whatever no longer conflicts."""
         remaining = []
         for req in self._waiters:
-            if req.outcome is not None:
-                continue
             if self._blockers(req, remaining):
                 remaining.append(req)
                 continue
@@ -463,8 +456,6 @@ class Engine:
     def _waits_for_edges(self) -> dict:
         edges: Dict[int, set] = {}
         for i, req in enumerate(self._waiters):
-            if req.outcome is not None:
-                continue
             blockers = self._blockers(req, self._waiters[:i])
             if blockers:
                 edges[req.txn] = blockers
@@ -490,7 +481,7 @@ class Engine:
             cycle = self._cycle_through(requester.txn, self._waits_for_edges())
             if cycle is None:
                 return
-            victim = self.txns[max(cycle, key=lambda t: self.txns[t].begin_seq)]
+            victim = self.txns[next(t for t in reversed(self.txns) if t in cycle)]
             doomed = [r for r in self._waiters if r.txn == victim.txn]
             self._waiters = [r for r in self._waiters if r.txn != victim.txn]
             if victim.status is TxnStatus.BLOCKED:
@@ -542,10 +533,7 @@ class Engine:
 
     def request_state(self, txn: int) -> Optional[str]:
         """'WAITING' while the transaction has a pending lock request."""
-        for req in self._waiters:
-            if req.txn == txn and req.outcome is None:
-                return "WAITING"
-        return None
+        return "WAITING" if any(req.txn == txn for req in self._waiters) else None
 
     # ------------------------------------------------------------- item ops
 
@@ -782,7 +770,6 @@ class Engine:
                         matches = self._matches(predicate, keys[-1] if keys else cursor.position)
                         key = next(matches, _INF)
             if not aggregate:
-                cursor.exhausted |= drain or len(keys) < row_limit
                 cursor.position = keys[-1] if keys else cursor.position
                 rows = [(key,) if columns == ("reckey",) else
                         (key, *(by_key[key].values[c] for c in columns)) for key in keys]

@@ -27,7 +27,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
-from . import outhist
 from .dataset import build_canonical_table
 from .engine import (
     DeadlockAbort,
@@ -38,13 +37,7 @@ from .engine import (
     ReadOnlyViolation,
     WriteImage,
 )
-from .notation import (
-    HistoryProgram,
-    IsolationLevel,
-    OpKind,
-    Step,
-    render_step,
-)
+from .notation import HistoryProgram, IsolationLevel, OpKind, Step, render_step
 from .outhist import (
     OutputHistory,
     OutputRecord,
@@ -69,11 +62,8 @@ if TYPE_CHECKING:
 
 @dataclass
 class ExecutorConfig:
-    # None: honor the program's default_level metadata, falling back to RC.
-    default_level: Optional[IsolationLevel] = None
     rows: int = 200
     engine: EngineConfig = field(default_factory=EngineConfig)
-    verbose: bool = False
 
 
 @dataclass
@@ -185,6 +175,10 @@ def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
 # ----------------------------------------------------------------- monitor
 
 
+#: The status of a step that failed with one of these codes; any other is an ERROR.
+_FAILURE_STATUS = {DeadlockAbort.code: STATUS_DEADLOCK, ReadOnlyViolation.code: STATUS_READONLY}
+
+
 @dataclass
 class _Pending:
     step: Step
@@ -199,42 +193,21 @@ class Monitor:
         self.table = build_canonical_table(self.config.rows)
         self.engine = Engine(self.table, self.config.engine)
         self.env = BindingEnv()
-        self.levels: Dict[int, IsolationLevel] = {}
+        # The level of a transaction with no IL step: the history's own, else RC.
+        meta = prog.metadata.get("default_level", "").upper()
+        self.default_level = IsolationLevel.__members__.get(meta, IsolationLevel.RC)
         self.records: List[OutputRecord] = []
-        # txn -> (its frame, the lock request it is parked on, its
-        # pending step: None for an implicit BEGIN)
-        self.parked: Dict[int, Tuple[Frame, LockRequest, Optional[_Pending]]] = {}
+        # txn -> (its frame, the lock request it is parked on, its pending step)
+        self.parked: Dict[int, Tuple[Frame, LockRequest, _Pending]] = {}
         self.deferred: Dict[int, List[Step]] = {}
-        self.stuck = False
         self._submit_seq = 0
         self._record_seq = 0
-
-    # ------------------------------------------------------------- plumbing
-
-    def _default_level(self) -> IsolationLevel:
-        if self.config.default_level is not None:
-            return self.config.default_level
-        meta = self.prog.metadata.get("default_level")
-        if meta and meta.upper() in IsolationLevel.__members__:
-            return IsolationLevel[meta.upper()]
-        return IsolationLevel.RC
 
     def _emit(self, rec: OutputRecord) -> OutputRecord:
         self._record_seq += 1
         rec.seq = self._record_seq
         self.records.append(rec)
-        if self.config.verbose:
-            print(outhist._record_line(rec))
         return rec
-
-    # ------------------------------------------------------------- outcomes
-
-    def _status_for_failure(self, code: str) -> Tuple[str, Optional[str]]:
-        if code == DeadlockAbort.code:
-            return STATUS_DEADLOCK, None
-        if code == ReadOnlyViolation.code:
-            return STATUS_READONLY, None
-        return STATUS_ERROR, code
 
     # ------------------------------------------------------------ execution
 
@@ -249,20 +222,16 @@ class Monitor:
             if step.kind in (OpKind.PRED, OpKind.MAP):
                 self._execute_declarative(step)
                 continue
+            if step.kind is not OpKind.IL and step.txn not in self.engine.txns:
+                self.engine.begin(step.txn, self.default_level)  # implicit BEGIN: no record
             batch: list = []
-            if step.kind is not OpKind.IL and step.txn not in self.levels:
-                # implicit BEGIN: a step like any other that records nothing
-                level = self.levels[step.txn] = self._default_level()
-                begin = Step(OpKind.IL, step.txn, level=level)
-                self._step(step.txn, handle_frame(self.engine, self.env, begin), None, batch)
             self._step(step.txn, handle_frame(self.engine, self.env, step),
                        _Pending(step, self._submit_seq), batch)
             self._resume_settled(batch)
             work[:0] = self._record(batch)
-        self.stuck = any(self.deferred.values())
         return self._finish()
 
-    def _step(self, txn: int, frame: Frame, pend: Optional[_Pending], batch: list) -> None:
+    def _step(self, txn: int, frame: Frame, pend: _Pending, batch: list) -> None:
         """Run a step's frame until its engine call completes or parks, and
         add ``(event, outcome, pend, op_text)`` to ``batch``: ``event`` is the
         engine event of its last effect, ``outcome`` its (values, images),
@@ -281,10 +250,8 @@ class Monitor:
         else:
             self.parked[txn] = (frame, lock, pend)
             outcome = None
-        if pend is not None:
-            state = self.engine.txns.get(txn)
-            batch.append((state.last_event if state else 0, outcome, pend,
-                          render_step(pend.step, self.env.row_vars, compact=True)))
+        batch.append((self.engine.txns[txn].last_event, outcome, pend,
+                      render_step(pend.step, self.env.row_vars, compact=True)))
 
     def _resume_settled(self, batch: list) -> None:
         """Resume the parked frames the engine has settled until none is
@@ -317,13 +284,11 @@ class Monitor:
     def _complete(self, pend: _Pending, outcome, op_text: str) -> None:
         step = pend.step
         if isinstance(outcome, str):  # the code of the error the step raised
-            status, error_code = self._status_for_failure(outcome)
+            status = _FAILURE_STATUS.get(outcome, STATUS_ERROR)
             self._emit(OutputRecord(0, pend.submit_seq, step.txn, op_text, status,
-                                    error_code=error_code))
+                                    error_code=outcome if status == STATUS_ERROR else None))
             return
         values, images = outcome
-        if step.kind is OpKind.IL:
-            self.levels[step.txn] = step.level
         status = STATUS_RESUMED if pend.blocked_seq is not None else STATUS_OK
         self._emit(OutputRecord(0, pend.submit_seq, step.txn, op_text, status,
                                 resumed_of=pend.blocked_seq, values=values, images=images))
@@ -349,22 +314,22 @@ class Monitor:
     # - teardown -
 
     def _finish(self) -> OutputHistory:
-        finals: Dict[int, str] = {}
-        for txn in sorted(self.levels):
-            state = self.engine.txns.get(txn)
-            if state is not None:  # BLOCKED only while a request is parked
-                finals[txn] = state.status.value
+        """The output history: levels and end states (BLOCKED only while a
+        request is parked) are the engine's; a run is stuck when steps of
+        parked transactions remain."""
+        txns = sorted(self.engine.txns.items())
         header = RunHeader(
             name=self.prog.source_name,
             lock_scope=self.config.engine.lock_scope.value,
             strictness=self.config.engine.strictness.value,
-            default_level=self._default_level().name,
+            default_level=self.default_level.name,
             rows=self.config.rows,
             ru_writes_allowed=self.config.engine.ru_writes_allowed,
-            stuck=self.stuck,
-            levels={t: lvl.name for t, lvl in self.levels.items()},
+            stuck=any(self.deferred.values()),
+            levels={txn: state.level.name for txn, state in txns},
             meta={k: v.replace(" ", "_") for k, v in self.prog.metadata.items()},
         )
+        finals = {txn: state.status.value for txn, state in txns}
         return OutputHistory(header=header, records=self.records, finals=finals)
 
 

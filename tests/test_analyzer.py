@@ -164,9 +164,8 @@ def test_judge_unknown_level():
 
 def test_ru_write_reported():
     oh, _ = run_text(
-        "R1(A) C1 W2(A) C2",
+        "#: default_level=RU\nR1(A) C1 W2(A) C2",
         engine=EngineConfig(ru_writes_allowed=True),
-        default_level=IL.RU,
     )
     levels = header_levels(oh)
     writes = ru_write_records(oh, levels)

@@ -84,11 +84,6 @@ def test_default_level_from_metadata():
     assert oh.header.default_level == "SR"
 
 
-def test_explicit_config_level_overrides_metadata():
-    oh, _ = run_text("#: default_level=SR\nW1(A, 1) C1", default_level=IsolationLevel.RR)
-    assert oh.header.levels == {1: "RR"}
-
-
 # --------------------------------------------------------------- bindings
 
 
