@@ -162,18 +162,6 @@ def _collect_ops(oh: OutputHistory) -> Tuple[List[OpView], Dict[str, PredicateEx
     return ops, predicates, terminations
 
 
-def _is_item_read(op: OpView) -> bool:
-    return op.step.kind is OpKind.R
-
-
-def _is_write(op: OpView) -> bool:
-    return op.step.kind in WRITE_KINDS
-
-
-def _is_pred_read(op: OpView) -> bool:
-    return op.step.kind in (OpKind.PR, OpKind.SS)
-
-
 def detect_pairs(oh: OutputHistory) -> List[ConflictPair]:
     """Every ordered cross-transaction pair on a common resource with at
     least one write.  The first op must have executed; the second op either
@@ -209,17 +197,18 @@ def _classify_pair(first: OpView, second: OpView, predicates: Dict[str, Predicat
     cls = None
     resource = None
     membership_known = True
-    if _is_write(first) and _is_write(second):
+    first_writes, second_writes = first.step.kind in WRITE_KINDS, second.step.kind in WRITE_KINDS
+    if first_writes and second_writes:
         shared = first.write_keys & second.write_keys
         if shared:
             cls, resource = "w_w", f"reckey={min(shared)}"
-    elif _is_write(first) or _is_write(second):
-        writer, reader = (first, second) if _is_write(first) else (second, first)
+    elif first_writes or second_writes:
+        writer, reader = (first, second) if first_writes else (second, first)
         name = "w_{}" if writer is first else "{}_w"
-        if _is_item_read(reader):
+        if reader.step.kind is OpKind.R:
             if reader.reckey is not None and reader.reckey in writer.write_keys:
                 cls, resource = name.format("r"), f"reckey={reader.reckey}"
-        elif _is_pred_read(reader):
+        elif reader.step.kind in (OpKind.PR, OpKind.SS):
             pred = predicates.get(reader.step.pred_var)
             if pred is not None:
                 try:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analyzer import AnalyzerError, Judgment, Verdict, analyze_history
-from .dataset import build_canonical_table, dump_tsv
+from .dataset import build_canonical_table, check_row_count, dump_tsv
 from .engine import EngineConfig, LockScope, Strictness
 from .executor import ExecutorConfig, run_history
 from .generator import (
@@ -52,8 +52,26 @@ def _matrix_args(args) -> tuple:
     return levels, classes, variants
 
 
+def _rows(text: str) -> int:
+    try:
+        return check_row_count(int(text))
+    except ValueError as exc:  # not an integer, or InvalidRowCount
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _file(path: Path, text: Optional[str] = None) -> str:
+    """Read ``path``, or write ``text`` there; any failure, text not in UTF-8 too, is an OSError."""
+    try:
+        if text is None:
+            return path.read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        return text
+    except (OSError, UnicodeError) as exc:
+        raise OSError(f"cannot {'read' if text is None else 'write'} {path}: {exc}") from None
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rows", type=int, default=200, help="table size, multiple of 100")
+    parser.add_argument("--rows", type=_rows, default=200, help="table size, multiple of 100")
     parser.add_argument("--lock-scope", choices=tuple(_LOCK_SCOPES), default="predicate",
                         help="table: incremental range locking without a key index")
     parser.add_argument("--strictness", choices=("per-level", "strict"), default="per-level")
@@ -204,20 +222,16 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.history)
+    out_path = Path(args.out) if args.out else path.with_suffix(".outhist")
     try:
-        text = path.read_text()
+        output = run_history(parse_history(_file(path), source_name=path.stem), _exec_config(args))
+        text = _file(out_path, serialize(output))
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
-    try:
-        prog = parse_history(text, source_name=path.stem)
     except NotationError as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
         return 1
-    output = run_history(prog, _exec_config(args))
-    out_path = Path(args.out) if args.out else path.with_suffix(".outhist")
-    text = serialize(output)
-    out_path.write_text(text)
     if args.verbose:
         sys.stdout.writelines(line + "\n" for line in text.splitlines() if not line.startswith("#"))
     if output.header.stuck:
@@ -235,7 +249,7 @@ def cmd_analyze(args) -> int:
     for name in args.outhists:
         path = Path(name)
         try:
-            output = parse_output(path.read_text())
+            output = parse_output(_file(path))
             judgment = analyze_history(output)
         except (OSError, FormatError, NotationError, AnalyzerError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dataset = sub.add_parser("dataset", help="canonical table utilities")
     p_dataset.add_argument("action", choices=("dump",))
-    p_dataset.add_argument("--rows", type=int, default=200)
+    p_dataset.add_argument("--rows", type=_rows, default=200)
     p_dataset.set_defaults(func=cmd_dataset)
 
     p_gen = sub.add_parser("gen", help="generate conflict histories")

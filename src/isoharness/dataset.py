@@ -104,12 +104,17 @@ def _canonical_rows(row_count: int) -> tuple:
     return rows, list(rows)
 
 
+def check_row_count(row_count: int) -> int:
+    """``row_count``, if it is a positive multiple of 100."""
+    if row_count <= 0 or row_count % 100 != 0:
+        raise InvalidRowCount(f"row count must be a positive multiple of 100, got {row_count}")
+    return row_count
+
+
 def build_canonical_table(row_count: int = DEFAULT_ROW_COUNT) -> CanonicalTable:
     """A fresh table over the shared canonical rows, which nothing may edit:
     the engine writes by putting a new ``Row``."""
-    if row_count <= 0 or row_count % 100 != 0:
-        raise InvalidRowCount(f"row count must be a positive multiple of 100, got {row_count}")
-    rows, keys = _canonical_rows(row_count)
+    rows, keys = _canonical_rows(check_row_count(row_count))
     return CanonicalTable(rows=rows.copy(), row_count=row_count, keys=keys.copy())
 
 

@@ -1,10 +1,11 @@
 """The monitor: runs a history's steps against the engine on one thread.
 
-The monitor owns variable bindings.  :func:`handle_frame` carries out one
+The monitor owns variable bindings.  :func:`handle_frame` carries out every
 step: a generator that resolves the step's bindings, makes its engine call,
 yields each lock request the call parks on, binds what the result carries
 and returns the record's ``(values, images)``; the code of an engine error
-it raises becomes the record's status.  Records keep the engine's own
+it raises becomes the record's status.  ``PRED`` and ``MAP`` (transaction 0)
+only bind, and make no engine call.  Records keep the engine's own
 :class:`engine.WriteImage` objects, which :func:`outhist.serialize` encodes.
 The monitor never touches table or lock state but through the engine calls
 its steps make.
@@ -37,7 +38,7 @@ from .engine import (
     ReadOnlyViolation,
     WriteImage,
 )
-from .notation import HistoryProgram, IsolationLevel, OpKind, Step, render_step
+from .notation import HistoryProgram, OpKind, Step, render_step
 from .outhist import (
     OutputHistory,
     OutputRecord,
@@ -104,7 +105,7 @@ def _row(engine: Engine, env: BindingEnv, name: str) -> int:
 
 
 def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
-    """Carry out one non-declarative step of transaction ``step.txn``.
+    """Carry out one step of transaction ``step.txn``.
 
     The step's variables resolve on the generator's first ``next()``; engine
     errors, and the binding errors above, propagate out of the monitor's
@@ -114,7 +115,12 @@ def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
     k, txn = step.kind, step.txn
     if step.row_var in env.inserting:
         raise RowVarRebound(f"row variable {step.row_var} is bound by an insert under way")
-    if k is OpKind.IL:
+    if k is OpKind.PRED:
+        env.pred_vars[step.pred_var] = step.predicate
+    elif k is OpKind.MAP:
+        if env.row_vars.setdefault(step.row_var, step.literal) != step.literal:
+            raise RowVarRebound(f"row variable {step.row_var} is bound to another key")
+    elif k is OpKind.IL:
         engine.begin(txn, step.level)
     elif k is OpKind.C:
         engine.commit(txn)
@@ -150,7 +156,7 @@ def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
         return [value], images
     elif k is OpKind.D:
         return None, [(yield from engine.delete_item(txn, _row(engine, env, step.row_var)))]
-    elif k in (OpKind.PR, OpKind.SU, OpKind.SS):
+    else:  # PR, SU, SS
         predicate = env.pred_vars.get(step.pred_var)
         if predicate is None:
             raise UnboundPredicate(f"predicate {step.pred_var} was never declared")
@@ -167,8 +173,6 @@ def handle_frame(engine: Engine, env: BindingEnv, step: Step) -> Frame:
             if step.value_var and len(rows[-1]) > 1:
                 env.value_vars[step.value_var] = rows[-1][1]
         return [t[0] if len(t) == 1 else t for t in rows], []
-    else:
-        raise ValueError(f"{k.value} is not an engine step")
     return None, []
 
 
@@ -193,19 +197,14 @@ class Monitor:
         self.table = build_canonical_table(self.config.rows)
         self.engine = Engine(self.table, self.config.engine)
         self.env = BindingEnv()
-        # The level of a transaction with no IL step: the history's own, else RC.
-        meta = prog.metadata.get("default_level", "").upper()
-        self.default_level = IsolationLevel.__members__.get(meta, IsolationLevel.RC)
         self.records: List[OutputRecord] = []
         # txn -> (its frame, the lock request it is parked on, its pending step)
         self.parked: Dict[int, Tuple[Frame, LockRequest, _Pending]] = {}
         self.deferred: Dict[int, List[Step]] = {}
         self._submit_seq = 0
-        self._record_seq = 0
 
     def _emit(self, rec: OutputRecord) -> OutputRecord:
-        self._record_seq += 1
-        rec.seq = self._record_seq
+        rec.seq = len(self.records) + 1
         self.records.append(rec)
         return rec
 
@@ -219,11 +218,8 @@ class Monitor:
                 self.deferred.setdefault(step.txn, []).append(step)
                 continue
             self._submit_seq += 1
-            if step.kind in (OpKind.PRED, OpKind.MAP):
-                self._execute_declarative(step)
-                continue
-            if step.kind is not OpKind.IL and step.txn not in self.engine.txns:
-                self.engine.begin(step.txn, self.default_level)  # implicit BEGIN: no record
+            if step.txn and step.kind is not OpKind.IL and step.txn not in self.engine.txns:
+                self.engine.begin(step.txn, self.prog.default_level)  # implicit BEGIN: no record
             batch: list = []
             self._step(step.txn, handle_frame(self.engine, self.env, step),
                        _Pending(step, self._submit_seq), batch)
@@ -234,10 +230,10 @@ class Monitor:
     def _step(self, txn: int, frame: Frame, pend: _Pending, batch: list) -> None:
         """Run a step's frame until its engine call completes or parks, and
         add ``(event, outcome, pend, op_text)`` to ``batch``: ``event`` is the
-        engine event of its last effect, ``outcome`` its (values, images),
-        the code of the error it raised, or None while it is parked, and
-        ``op_text`` the step with its row variables as they stand after this
-        run."""
+        engine event of its last effect (0 for ``PRED`` and ``MAP``), ``outcome``
+        its (values, images), the code of the error it raised, or None while it
+        is parked, and ``op_text`` the step with its row variables as they stand
+        after this run."""
         try:
             lock = next(frame)
         except StopIteration as done:
@@ -250,7 +246,7 @@ class Monitor:
         else:
             self.parked[txn] = (frame, lock, pend)
             outcome = None
-        batch.append((self.engine.txns[txn].last_event, outcome, pend,
+        batch.append((self.engine.txns[txn].last_event if txn else 0, outcome, pend,
                       render_step(pend.step, self.env.row_vars, compact=True)))
 
     def _resume_settled(self, batch: list) -> None:
@@ -293,24 +289,6 @@ class Monitor:
         self._emit(OutputRecord(0, pend.submit_seq, step.txn, op_text, status,
                                 resumed_of=pend.blocked_seq, values=values, images=images))
 
-    def _execute_declarative(self, step: Step) -> None:
-        status = STATUS_OK
-        code = None
-        if step.kind is OpKind.PRED:
-            self.env.pred_vars[step.pred_var] = step.predicate
-        else:  # MAP
-            bound = self.env.row_vars.get(step.row_var)
-            if step.row_var in self.env.inserting or bound not in (None, step.literal):
-                status, code = STATUS_ERROR, "RowVarRebound"
-            else:
-                self.env.row_vars[step.row_var] = step.literal
-        self._emit(
-            OutputRecord(
-                0, self._submit_seq, 0,
-                render_step(step, None, compact=True), status, error_code=code,
-            )
-        )
-
     # - teardown -
 
     def _finish(self) -> OutputHistory:
@@ -322,7 +300,7 @@ class Monitor:
             name=self.prog.source_name,
             lock_scope=self.config.engine.lock_scope.value,
             strictness=self.config.engine.strictness.value,
-            default_level=self.default_level.name,
+            default_level=self.prog.default_level.name,
             rows=self.config.rows,
             ru_writes_allowed=self.config.engine.ru_writes_allowed,
             stuck=any(self.deferred.values()),

@@ -206,6 +206,11 @@ class HistoryProgram:
             return NotImplemented
         return self.steps == other.steps and self.metadata == other.metadata
 
+    @property
+    def default_level(self) -> IsolationLevel:
+        """The level of a transaction with no IL step: ``#: default_level=``, else RC."""
+        return IsolationLevel[self.metadata.get("default_level", "RC").upper()]
+
 
 # --- predicate expressions -------------------------------------------------
 
@@ -371,7 +376,8 @@ _AGGREGATES = {"sum(recval)": "sum", "count(*)": "count"}
 def _strip_comments(source: str):
     """Blank out # comments, collecting ``#: key=value`` metadata lines.
 
-    Blanking keeps every offset into the cleaned text an offset into the source.
+    A ``default_level`` value must name a level.  Blanking keeps every offset
+    into the cleaned text an offset into the source.
     """
     metadata = {}
 
@@ -379,9 +385,17 @@ def _strip_comments(source: str):
         meta = _META.match(m.group())
         if meta:
             metadata[meta.group(1)] = meta.group(2)
+            if meta.group(1) == "default_level":
+                _level(meta.group(2), m.start() + meta.start(2), "default_level", source)
         return " " * len(m.group())
 
     return _COMMENT.sub(blank, source), metadata
+
+
+def _level(text: str, offset: int, what: str, source: str) -> IsolationLevel:
+    if text.upper() not in IsolationLevel.__members__:
+        raise HistorySyntaxError(f"{what} takes one of RU/RC/RR/SR", offset, text, source)
+    return IsolationLevel[text.upper()]
 
 
 def _stripped(text: str, offset: int) -> tuple:
@@ -514,10 +528,7 @@ def _build_step(kind: OpKind, digits: str, args, offset: int, token: str, source
         step.row_var = _var_name(first, source)
         step.literal = _parse_int(second, source)
     elif kind is OpKind.IL:
-        level, at = first
-        if level.upper() not in IsolationLevel.__members__:
-            raise HistorySyntaxError("IL takes one of RU/RC/RR/SR", at, level, source)
-        step.level = IsolationLevel[level.upper()]
+        step.level = _level(*first, "IL", source)
     elif kind is OpKind.I:
         _parse_insert_args(step, first, second, source)
     elif kind is OpKind.PR:
@@ -613,20 +624,13 @@ def render_step(step: Step, bindings: Optional[dict] = None, compact: bool = Fal
         return f"IL{txn}({step.level.name})"
     if k in (OpKind.C, OpKind.A):
         return f"{k.value}{txn}"
-    if k in (OpKind.R, OpKind.RW):
-        args = row(step.row_var)
-        if step.value_var:
-            args += sep + step.value_var
-        return f"{k.value}{txn}({args})"
-    if k is OpKind.W:
+    if k in (OpKind.R, OpKind.RW, OpKind.W, OpKind.D):  # a row, then a value variable or W's literal
         args = row(step.row_var)
         if step.value_var:
             args += sep + step.value_var
         elif step.literal is not None:
             args += sep + str(step.literal)
-        return f"W{txn}({args})"
-    if k is OpKind.D:
-        return f"D{txn}({row(step.row_var)})"
+        return f"{k.value}{txn}({args})"
     if k is OpKind.I:
         if step.column_spec:
             cols = ";".join((row(step.row_var),) + step.column_spec)

@@ -43,6 +43,37 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_run_rejects_an_unknown_default_level(tmp_path, capsys):
+    hist = tmp_path / "level.hist"
+    hist.write_text("#: default_level=SERIALIZABLE\nW1(A, 1) C1\n")
+    assert main(["run", str(hist)]) == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err and "at line 1, column 18: 'SERIALIZABLE'" in err
+    assert not hist.with_suffix(".outhist").exists()
+
+
+def test_run_reports_a_file_it_cannot_read_or_write(tmp_path, capsys):
+    bad = tmp_path / "bad.hist"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot read {bad}: ")
+    good = tmp_path / "good.hist"
+    good.write_text("W1(A, 1) C1\n")
+    missing = tmp_path / "missing" / "good.outhist"
+    assert main(["run", str(good), "-o", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"cannot write {missing}: ")
+
+
+@pytest.mark.parametrize("rows", ["150", "0", "-100", "x"])
+@pytest.mark.parametrize("command", [["run", "h.hist"], ["campaign"], ["dataset", "dump"]],
+                         ids=["run", "campaign", "dataset"])
+def test_rows_not_a_positive_multiple_of_100_is_a_usage_error(capsys, command, rows):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--rows", rows])
+    assert info.value.code == 2
+    assert "argument --rows: " in capsys.readouterr().err
+
+
 def test_run_stuck_exit_code(tmp_path, capsys):
     hist = tmp_path / "stuck.hist"
     hist.write_text("IL1(RC) IL2(RC) W1(A, 1) W2(A, 2) C2\n")
@@ -153,6 +184,7 @@ def test_analyze_exits_nonzero_on_findings(tmp_path, capsys):
     ("5 5 C1 OK", "5 5 FOO1 OK"),  # a record whose op is not an operation
     ("# levels: 1=RC 2=RC", "# levels: 1=RC"),  # a transaction with no level
     ("# levels: 1=RC 2=RC", "# levels: 1=XX 2=RC"),  # not a level name
+    ("5 5 C1 OK", "5 5 C1 OK \udcff"),  # a byte that is not UTF-8: the file cannot be read
 ])
 def test_analyze_reports_a_bad_file_and_goes_on(tmp_path, capsys, old, new):
     out = tmp_path / "out"
@@ -161,12 +193,13 @@ def test_analyze_reports_a_bad_file_and_goes_on(tmp_path, capsys, old, new):
     text = good.read_text()
     assert old in text.splitlines()
     bad = tmp_path / "bad.outhist"
-    bad.write_text(text.replace(old, new))
+    bad.write_bytes(text.replace(old, new).encode(errors="surrogateescape"))
     capsys.readouterr()
     assert main(["analyze", str(bad), str(good)]) == 1
     printed = capsys.readouterr()
     assert printed.err.startswith(f"{bad}: ") and len(printed.err.splitlines()) == 1
     assert "totals: CONFORMS=1" in printed.out
+
 
 # An output history as an older version wrote it: its header also gives the
 # run mode and the timeout of a stuck guard.

@@ -6,7 +6,7 @@ import pytest
 from isoharness.analyzer import Verdict, analyze_history
 from isoharness.engine import Engine, EngineConfig, LockScope, RowNotFound
 from isoharness.dataset import build_canonical_table
-from isoharness.executor import BindingEnv, handle_frame, run_history
+from isoharness.executor import BindingEnv, RowVarRebound, handle_frame, run_history
 from isoharness.notation import IsolationLevel, parse_history, parse_predicate
 from isoharness.outhist import (
     STATUS_BLOCKED,
@@ -79,9 +79,10 @@ def test_sync_determinism():
 
 
 def test_default_level_from_metadata():
-    oh, _ = run_text("#: default_level=SR\nW1(A, 1) C1")
-    assert oh.header.levels == {1: "SR"}
-    assert oh.header.default_level == "SR"
+    for name in ("SR", "sr"):  # a level name in any case
+        oh, _ = run_text(f"#: default_level={name}\nW1(A, 1) C1")
+        assert oh.header.levels == {1: "SR"}
+        assert oh.header.default_level == "SR"
 
 
 # --------------------------------------------------------------- bindings
@@ -233,6 +234,22 @@ def test_su_and_ss_frames():
             for img in images] == [(100, 10000, 10005)]
     assert run("SS1(S, sum(recval))") == ([30005], [])
     assert run("SS1(S, count(*))") == ([2], [])
+
+
+def test_pred_and_map_frames_only_bind():
+    engine, env, run = _stepper()
+    pred = parse_history("PRED(P, k2=1)").steps[0]
+    assert finish(handle_frame(engine, env, pred)) == (None, [])
+    assert env.pred_vars == {"P": pred.predicate}
+    assert run("MAP(A, 300)") == (None, [])
+    assert run("MAP(A, 300)") == (None, [])  # the key it holds binds again
+    with pytest.raises(RowVarRebound):
+        run("MAP(A, 100)")
+    env.inserting.add("B")  # an insert under way will bind B
+    with pytest.raises(RowVarRebound):
+        run("MAP(B, 200)")
+    assert env.row_vars == {"A": 300}
+    assert list(engine.txns) == [1] and not engine.lock_events  # no engine call
 
 
 @pytest.mark.parametrize("step", [

@@ -105,6 +105,15 @@ def test_unknown_operation_position():
     assert "FOO" in info.value.token
 
 
+def test_unknown_default_level_is_a_located_syntax_error():
+    with pytest.raises(HistorySyntaxError) as info:
+        parse_history("#: default_level=SERIALIZABLE\nW1(A, 1) C1")
+    assert (info.value.line, info.value.column, info.value.token) == (1, 18, "SERIALIZABLE")
+    assert "default_level takes one of RU/RC/RR/SR" in str(info.value)
+    assert parse_history("#: default_level=sr\nW1(A, 1) C1").default_level is IsolationLevel.SR
+    assert parse_history("W1(A, 1) C1").default_level is IsolationLevel.RC
+
+
 def test_every_bad_token_rejected_not_skipped():
     # a malformed token between two valid ones must fail, not silently drop
     with pytest.raises(HistorySyntaxError):
