@@ -1,8 +1,8 @@
 """Golden digests of the reference runs: what each run writes and how it locks.
 
 Each reference run is one history on a fresh engine: every history of the six
-reference campaigns, three long histories and the short ones written below,
-and the RU scenario with and without RU writes.  Its digest is a
+reference campaigns, three long histories, the short ones and the
+incremental-scope ones written below, and the RU scenario with and without RU writes.  Its digest is a
 short SHA-256 over the serialized output history and the engine's lock events,
 encoded field by field.  ``reference_runs.sha256`` holds one digest per run, so
 a failure names the first run whose records or lock schedule changed.
@@ -59,12 +59,26 @@ LONG_HISTORIES = (
 
 
 #: Runs no campaign makes: a transaction begun implicitly, at RC or at the
-#: history's ``default_level``, and a run that ends stuck.  (name, text).
+#: history's ``default_level``, a run that ends stuck, and a rollback of a row
+#: written twice, which only undo in reverse order restores.  (name, text).
 SHORT_HISTORIES = (
     ("implicit_begins_at_rc", "W1(A, 5) R2(A) C1 C2"),
     ("implicit_begin_at_metadata_level",
      "#: default_level=SR\nPRED(P, k2=0) PR1(P;reckey;all) IL2(RC) W2(A, 5) C1 C2"),
     ("stuck_with_t2_blocked", "W1(A, 5) W2(A, 6) W2(B, 1) C2"),
+    ("rollback_of_a_row_written_twice", "IL1(RC) IL2(RC) W1(A, 1) W1(A, 2) A1 R2(A, X) C2"),
+)
+
+#: Runs in incremental scope: a deadlock whose victim holds a SHORT range
+#: lock, and a set update beside a reader that holds 100 LONG range locks,
+#: none of which covers a row it writes.  (name, rows, text).
+INCREMENTAL_HISTORIES = (
+    ("deadlock_victim_holds_a_short_range_lock", 200,
+     "PRED(P, k2=0 and k3=0) MAP(X, 700) IL2(RC) IL1(RC) W2(X) PR1(P;reckey;all)"
+     " I2(N;reckey;k2;k3, 50;0;0) C1 C2"),
+    ("set_update_beside_100_range_locks", 2000,
+     "PRED(P, reckey>0) PRED(Q, reckey>60000 and k3=0) IL1(SR) IL2(RC) PR1(P;reckey;100)"
+     " SU2(Q) C1 C2"),
 )
 
 
@@ -80,6 +94,10 @@ def reference_runs():
         yield f"history :: {name}", parse_history(text, source_name=name), ExecutorConfig(rows=rows)
     for name, text in SHORT_HISTORIES:
         yield f"history :: {name}", parse_history(text, source_name=name), ExecutorConfig()
+    incremental = EngineConfig(lock_scope=LockScope.INCREMENTAL_RANGE)
+    for name, rows, text in INCREMENTAL_HISTORIES:
+        yield (f"history :: {name}", parse_history(text, source_name=name),
+               ExecutorConfig(rows=rows, engine=incremental))
     yield "history :: ru_scenario", ru_scenario(), ExecutorConfig()
     yield ("history :: ru_scenario --ru-writes-allowed", ru_scenario(),
            ExecutorConfig(engine=EngineConfig(ru_writes_allowed=True)))
