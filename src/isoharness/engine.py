@@ -14,14 +14,17 @@ Locking policy, which is the whole point of this module:
     fail unless ``ru_writes_allowed`` is set (that flag exists to reproduce
     permissive behavior observed in real systems).
 
-LONG locks are released only at commit/rollback (strict two-phase); SHORT
-locks are released when the acquiring operation returns.  A shared predicate
-or range lock conflicts with an exclusive item lock when the written row's
-before- or after-image satisfies the predicate / falls in the range.  Lock
-grants are FIFO per resource; a request never overtakes an earlier
-conflicting waiter.  Incremental range locks follow the key order; table
-scope (``LockScope.TABLE``) is incremental scope without a usable key index,
-whose first fetch locks the whole key range.
+Each lock is released in one of two places.  A transaction keeps its SHORT
+grants apart, and ``Engine._release_short`` releases them as the operation
+that took them returns (``read_item`` and ``_scan``, on a ``RowNotFound``
+too); ``Engine._end`` releases every other at commit/rollback (strict
+two-phase).  A shared predicate or range lock conflicts with an exclusive
+item lock when the written row's before- or after-image satisfies the
+predicate / falls in the range.  Lock grants are FIFO per resource; a
+request never overtakes an earlier conflicting waiter.  Incremental range
+locks follow the key order; table scope (``LockScope.TABLE``) is
+incremental scope without a usable key index, whose first fetch locks the
+whole key range.
 
 A lock request and its grant are one record (:class:`LockRequest`).  The
 lock table hashes grants on the resource: a row's exclusive grant and shared
@@ -42,8 +45,8 @@ caller resumes it once the engine has settled ``LockRequest.outcome``: the
 request was granted, or its transaction was chosen as a deadlock victim
 (youngest in the cycle, by begin order) and rolled back by the operation
 that found the cycle.  A parked operation's frame keeps what a call stack
-would: a set update's position, a scan's cursor and its short grants.  A
-generator closed while parked releases nothing.  ``begin``, ``commit`` and
+would: a set update's position, a scan's cursor.  A generator closed while
+parked runs no more code, so it releases nothing.  ``begin``, ``commit`` and
 ``rollback`` never park and are plain calls.
 
 Every effect (begin, op applied, request parked or settled, commit, abort)
@@ -217,6 +220,7 @@ class TxnState:
     undo_by_key: Dict[int, List[WriteImage]] = field(default_factory=dict)
     # The grants it holds, in grant order (a dict used as an ordered set).
     grants: Dict[LockRequest, None] = field(default_factory=dict)
+    short: List[LockRequest] = field(default_factory=list)  # its SHORT grants, in grant order
     last_event: int = 0
 
     def log_undo(self, image: WriteImage) -> None:
@@ -295,11 +299,7 @@ class Engine:
                 row = self.table.rows.get(img.reckey)
                 if row is not None and row.tombstone:
                     self.table.drop(img.reckey)
-        st.clear_undo()
-        st.cursors.clear()
-        st.status = TxnStatus.COMMITTED
-        st.last_event = next(self._events)
-        self._release_all(st, "TERMINATION")
+        self._end(st, TxnStatus.COMMITTED)
 
     def rollback(self, txn: int) -> None:
         st = self._require_active(txn)
@@ -313,11 +313,20 @@ class Engine:
                 self.table.drop(img.reckey)
             else:
                 self.table.put(img.reckey, img.before)
+        self._end(st, TxnStatus.ABORTED)
+
+    def _end(self, st: TxnState, status: TxnStatus) -> None:
+        """The end of a transaction: its undo and cursors go, it takes its
+        last event, and every grant it holds is released."""
         st.clear_undo()
         st.cursors.clear()
-        st.status = TxnStatus.ABORTED
+        st.status = status
         st.last_event = next(self._events)
-        self._release_all(st, "TERMINATION")
+        for g in st.grants:
+            self._release(g, "TERMINATION")
+        st.grants.clear()
+        st.short.clear()
+        self._grant_pass()
 
     def _require_active(self, txn: int) -> TxnState:
         """The transaction's state, stamped so an operation that fails
@@ -382,6 +391,8 @@ class Engine:
             table, key = self._shared(req.resource)
             table.setdefault(key, {})[req.txn] = req
         st.grants[req] = None
+        if req.duration is LockDuration.SHORT:
+            st.short.append(req)
         self.lock_events.append(LockEvent(next(self._events), req.txn, "ACQUIRE", req.resource,
                                           req.mode, req.duration))
         req.outcome = _Outcome.GRANTED
@@ -436,21 +447,14 @@ class Engine:
                 st.last_event = next(self._events)  # settled: the stamp orders its resumption
         self._waiters = remaining
 
-    def _release_all(self, st: TxnState, reason: str) -> None:
-        for g in st.grants:
-            self._release(g, reason)
-        st.grants.clear()
-        self._grant_pass()
-
-    def _release_grants(self, grants, reason: str) -> None:
-        """Release what is held of ``grants``, an op's SHORT requests, if any was granted."""
-        if not any(g.outcome is _Outcome.GRANTED for g in grants):
+    def _release_short(self, st: TxnState) -> None:
+        """Release the SHORT grants of the operation that is ending, if any."""
+        if not st.short:
             return
-        for g in grants:
-            held = self.txns[g.txn].grants
-            if g in held:
-                del held[g]
-                self._release(g, reason)
+        for g in st.short:
+            del st.grants[g]
+            self._release(g, "OP_END")
+        st.short.clear()
         self._grant_pass()
 
     def _waits_for_edges(self) -> dict:
@@ -522,13 +526,6 @@ class Engine:
         if req.outcome is _Outcome.DEADLOCK:
             raise DeadlockAbort(f"transaction {st.txn} chosen as deadlock victim")
 
-    def _read_lock(self, st: TxnState, resource, duration: LockDuration, short: list) -> LockRequest:
-        """Request a shared lock; a SHORT one joins ``short``, released at op end."""
-        req = self._request(st, resource, LockMode.S, duration)
-        if req.duration is LockDuration.SHORT:
-            short.append(req)
-        return req
-
     # ------------------------------------------------------------ inspection
 
     def request_state(self, txn: int) -> Optional[str]:
@@ -564,22 +561,15 @@ class Engine:
             if row.tombstone:
                 raise RowNotFound(f"row {reckey} is deleted (uncommitted)")
             return row.values[column]
-        short: list = []
-        try:
-            grant = self._read_lock(st, _item(reckey),
-                                    self._read_duration(st.level, predicate=False), short)
-            if grant.outcome is not _Outcome.GRANTED:
-                yield from self._park(st, grant)
-            st.last_event = next(self._events)
-            row = self.table.rows.get(reckey)
-            if row is None or row.tombstone:
-                raise RowNotFound(f"no row with reckey {reckey}")
-            return row.values[column]
-        except GeneratorExit:  # closed while parked: the run is over, release nothing
-            short.clear()
-            raise
-        finally:
-            self._release_grants(short, "OP_END")
+        grant = self._request(st, _item(reckey), LockMode.S, self._read_duration(st.level, predicate=False))
+        if grant.outcome is not _Outcome.GRANTED:
+            yield from self._park(st, grant)
+        st.last_event = next(self._events)
+        row = self.table.rows.get(reckey)
+        self._release_short(st)
+        if row is None or row.tombstone:
+            raise RowNotFound(f"no row with reckey {reckey}")
+        return row.values[column]
 
     def _write_row(self, st: TxnState, grant: LockRequest, after_of: Callable[[dict], Optional[dict]],
                    predicate: Optional[PredicateExpr] = None) -> Optional[WriteImage]:
@@ -733,55 +723,49 @@ class Engine:
                     f"transaction {txn} already has {MAX_CURSORS_PER_TXN} open cursors")
             cursor = st.cursors[pred_var] = CursorState()
         duration = self._read_duration(st.level, predicate=True)
-        short: list = []
-        try:
-            # Predicate-scope locking: one shared lock on the predicate itself.
-            if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
-                grant = self._read_lock(st, PredicateResource(predicate), duration, short)
+        # Predicate-scope locking: one shared lock on the predicate itself.
+        if st.level != IsolationLevel.RU and self.config.lock_scope is LockScope.PREDICATE:
+            grant = self._request(st, PredicateResource(predicate), LockMode.S, duration)
+            if grant.outcome is not _Outcome.GRANTED:
+                yield from self._park(st, grant)
+        need = self._scan_lock_plan(st, cursor, _INF)
+        if need is not None and aggregate:
+            grant = self._request(st, need, LockMode.S, duration)
+            if grant.outcome is not _Outcome.GRANTED:
+                yield from self._park(st, grant)
+            cursor.frontier, need = need.high, None
+        walked, matches = self.table.version, self._matches(predicate, cursor.position)
+        by_key = self.table.rows
+        if aggregate:
+            rows = [(sum(1 if aggregate == "count" else by_key[key].values["recval"]
+                         for key in matches),)]
+        elif need is None:  # no range left to lock: the walk never stops
+            keys = list(islice(matches, None if drain else row_limit))
+        else:  # stop at each match beyond the frontier to lock the range up to it
+            keys, key = [], next(matches, _INF)
+            while len(keys) != row_limit and (key < _INF or drain and cursor.frontier < _INF):
+                need = self._scan_lock_plan(st, cursor, key)
+                if need is None:
+                    keys.append(key)
+                    key = next(matches, _INF)
+                    continue
+                grant = self._request(st, need, LockMode.S, duration)
                 if grant.outcome is not _Outcome.GRANTED:
                     yield from self._park(st, grant)
-            need = self._scan_lock_plan(st, cursor, _INF)
-            if need is not None and aggregate:
-                grant = self._read_lock(st, need, duration, short)
-                if grant.outcome is not _Outcome.GRANTED:
-                    yield from self._park(st, grant)
-                cursor.frontier, need = need.high, None
-            walked, matches = self.table.version, self._matches(predicate, cursor.position)
-            by_key = self.table.rows
-            if aggregate:
-                rows = [(sum(1 if aggregate == "count" else by_key[key].values["recval"]
-                             for key in matches),)]
-            elif need is None:  # no range left to lock: the walk never stops
-                keys = list(islice(matches, None if drain else row_limit))
-            else:  # stop at each match beyond the frontier to lock the range up to it
-                keys, key = [], next(matches, _INF)
-                while len(keys) != row_limit and (key < _INF or drain and cursor.frontier < _INF):
-                    need = self._scan_lock_plan(st, cursor, key)
-                    if need is None:
-                        keys.append(key)
-                        key = next(matches, _INF)
-                        continue
-                    grant = self._read_lock(st, need, duration, short)
-                    if grant.outcome is not _Outcome.GRANTED:
-                        yield from self._park(st, grant)
-                    cursor.frontier = need.high
-                    if walked != self.table.version:  # the table changed during the wait
-                        walked = self.table.version
-                        matches = self._matches(predicate, keys[-1] if keys else cursor.position)
-                        key = next(matches, _INF)
-            if not aggregate:
-                cursor.position = keys[-1] if keys else cursor.position
-                rows = [(key,) if columns == ("reckey",) else
-                        (key, *(by_key[key].values[c] for c in columns)) for key in keys]
-            st.last_event = next(self._events)
-            if drain:
-                st.cursors.pop(pred_var, None)
-            return rows
-        except GeneratorExit:  # closed while parked: the run is over, release nothing
-            short.clear()
-            raise
-        finally:
-            self._release_grants(short, "OP_END")
+                cursor.frontier = need.high
+                if walked != self.table.version:  # the table changed during the wait
+                    walked = self.table.version
+                    matches = self._matches(predicate, keys[-1] if keys else cursor.position)
+                    key = next(matches, _INF)
+        if not aggregate:
+            cursor.position = keys[-1] if keys else cursor.position
+            rows = [(key,) if columns == ("reckey",) else
+                    (key, *(by_key[key].values[c] for c in columns)) for key in keys]
+        st.last_event = next(self._events)
+        if drain:
+            st.cursors.pop(pred_var, None)
+        self._release_short(st)
+        return rows
 
     def predicate_read(self, txn: int, pred_var: str, predicate: PredicateExpr,
                        columns: Optional[tuple] = ("recval",), row_limit=1,
