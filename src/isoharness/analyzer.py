@@ -85,11 +85,10 @@ class OpView:
         return frozenset() if self.reckey is None else frozenset((self.reckey,))
 
     def write_value_dicts(self) -> Iterator[dict]:
-        """The values of each image side, decoded only as they are consumed."""
-        if self.completion is None:
-            raise MissingImages(f"op {self.submit_seq} has no completion images")
-        if not self.completion.images:
-            raise MissingImages(f"op {self.submit_seq} carries no images")
+        """The values of each image side, decoded only as they are consumed;
+        a write that succeeded with no images (an empty set update) has none."""
+        if not self.succeeded:
+            raise MissingImages(f"op {self.submit_seq} did not succeed, so it has no images")
         for img in self.completion.images:
             yield from img.value_dicts()
 

@@ -10,6 +10,7 @@ OVER_RESTRICTIVE cell fails the command.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -68,6 +69,14 @@ def _file(path: Path, text: Optional[str] = None) -> str:
         return text
     except (OSError, UnicodeError) as exc:
         raise OSError(f"cannot {'read' if text is None else 'write'} {path}: {exc}") from None
+
+
+def _dir(path: Path) -> None:
+    """Make the directory ``path`` and its parents; a failure is an OSError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot make directory {path}: {exc}") from None
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -175,7 +184,8 @@ def run_campaign(base_config: ExecutorConfig,
             "rows": str(base_config.rows),
         }
     )
-
+    if out_dir is not None:
+        _dir(out_dir)
     for prog in programs:
         output = run_history(prog, base_config)
         judgment = analyze_history(output)
@@ -194,8 +204,7 @@ def run_campaign(base_config: ExecutorConfig,
         report.cells[(cell.cls, cell.variant, cell.l1, cell.l2)] = cell
         report.totals[cell.outcome] += 1
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{cell.name}.outhist").write_text(serialize(cell.output))
+            _file(out_dir / f"{cell.name}.outhist", serialize(cell.output))
     return report
 
 
@@ -212,10 +221,9 @@ def cmd_gen(args) -> int:
     if args.ru:
         programs.append(ru_scenario())
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _dir(out)
     for i, prog in enumerate(programs, start=1):
-        path = out / f"{i:03d}_{prog.source_name}.hist"
-        path.write_text(render_history(prog) + "\n")
+        _file(out / f"{i:03d}_{prog.source_name}.hist", render_history(prog) + "\n")
     print(f"wrote {len(programs)} histories to {out}")
     return 0
 
@@ -226,9 +234,6 @@ def cmd_run(args) -> int:
     try:
         output = run_history(parse_history(_file(path), source_name=path.stem), _exec_config(args))
         text = _file(out_path, serialize(output))
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except NotationError as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
         return 1
@@ -331,11 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # for entrypoint: stdout itself is gone
+    except OSError as exc:  # a file the command could not read, write or make
+        print(exc, file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run the command line; a reader that closed stdout ends it with status 1."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # Python flushes stdout again at exit: let os.devnull take it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ from itertools import count, islice
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from .dataset import CanonicalTable, Row
-from .notation import IsolationLevel, SCHEMA_COLUMNS, UnknownColumn
+from .notation import IsolationLevel, SCHEMA_COLUMNS, UnknownColumn, schema_columns
 
 if TYPE_CHECKING:
     from .notation import PredicateExpr
@@ -316,8 +316,7 @@ class Engine:
         self._end(st, TxnStatus.ABORTED)
 
     def _end(self, st: TxnState, status: TxnStatus) -> None:
-        """The end of a transaction: its undo and cursors go, it takes its
-        last event, and every grant it holds is released."""
+        """End a transaction: drop its undo and cursors, stamp it, release every grant."""
         st.clear_undo()
         st.cursors.clear()
         st.status = status
@@ -449,13 +448,12 @@ class Engine:
 
     def _release_short(self, st: TxnState) -> None:
         """Release the SHORT grants of the operation that is ending, if any."""
-        if not st.short:
-            return
-        for g in st.short:
-            del st.grants[g]
-            self._release(g, "OP_END")
-        st.short.clear()
-        self._grant_pass()
+        if st.short:
+            for g in st.short:
+                del st.grants[g]
+                self._release(g, "OP_END")
+            st.short.clear()
+            self._grant_pass()
 
     def _waits_for_edges(self) -> dict:
         edges: Dict[int, set] = {}
@@ -610,9 +608,7 @@ class Engine:
         """Update a row; ``column_values`` None means the default recval += 1."""
         if column_values is None:
             return (yield from self._write_item(txn, reckey, _add_to_recval(1)))
-        for col in column_values:
-            if col not in SCHEMA_COLUMNS:
-                raise UnknownColumn(col)
+        schema_columns(column_values)
         if "reckey" in column_values:
             raise InvalidWrite("primary key cannot be updated")
         return (yield from self._write_item(txn, reckey, lambda values: {**values, **column_values}))
@@ -643,9 +639,7 @@ class Engine:
         Unspecified columns default to recval = reckey*100 and 0 elsewhere.
         """
         column_values = dict(column_values or {})
-        for col in column_values:
-            if col not in SCHEMA_COLUMNS:
-                raise UnknownColumn(col)
+        schema_columns(column_values)
         explicit_key = reckey if reckey is not None else column_values.get("reckey")
         st = self._require_active(txn)
         self._check_writable(st)
@@ -778,6 +772,7 @@ class Engine:
         count(*) reads the whole predicate, like ``SS``, and neither reads
         nor moves the variable's cursor.
         """
+        schema_columns(columns or ())  # before any lock: a scan releases its SHORT ones only as it returns
         return (yield from self._scan(txn, None if aggregate else pred_var, predicate,
                                       columns, row_limit, aggregate))
 

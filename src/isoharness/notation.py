@@ -451,7 +451,8 @@ def _var_name(arg: tuple, source: str) -> str:
     return name
 
 
-def _schema_columns(names) -> tuple:
+def schema_columns(names) -> tuple:
+    """The names as a tuple; one not in the schema is :class:`UnknownColumn`."""
     for name in names:
         if name not in _SCHEMA_COLUMN_SET:
             raise UnknownColumn(name)
@@ -558,7 +559,7 @@ def _parse_insert_args(step: Step, first: tuple, second, source: str) -> None:
         if second:
             raise HistorySyntaxError("bare insert takes only a row variable", second[1], second[0], source)
         return
-    columns = _schema_columns([col for col, _ in head[1:]])
+    columns = schema_columns([col for col, _ in head[1:]])
     if not second:
         raise SemanticError("insert with columns requires a value list")
     values = tuple(_parse_int(field, source) for field in _fields(second))
@@ -583,7 +584,7 @@ def _parse_pr_args(step: Step, first: tuple, second, source: str) -> None:
     if columns == ["count(*)"]:
         step.aggregate = "count"
     else:
-        step.column_spec = _schema_columns(columns)
+        step.column_spec = schema_columns(columns)
     limit = fields[limit_at][0].lower()
     if limit != ROW_LIMIT_ALL and int(limit) < 1:
         raise SemanticError("PR row limit must be positive")

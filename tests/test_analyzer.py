@@ -199,6 +199,39 @@ def test_blocked_write_without_images_inconclusive():
     assert judgment.inconclusive
 
 
+@pytest.mark.parametrize("text", [
+    "PRED(P, k2=0) PRED(Q, reckey>999999) IL1(RC) IL2(RC) SU1(Q, 1) PR2(P;reckey;1) C1 C2",
+    "PRED(P, k2=0) PRED(Q, reckey>999999) IL1(RC) IL2(RC) PR1(P;reckey;1) SU2(Q, 1) C1 C2",
+])
+def test_set_update_that_writes_no_rows_pairs_with_no_predicate_read(text):
+    # the set update completes with no images: it writes nothing that could
+    # be in P, so there is no pair and nothing left undecided
+    oh, _ = run_text(text)
+    su = next(r for r in oh.records if r.op_text.startswith("SU"))
+    assert su.succeeded() and not su.images
+    assert detect_pairs(oh) == []
+    assert analyze_history(oh).verdict is Verdict.CONFORMS
+
+
+def test_deadlock_victim_write_against_a_predicate_read_stays_inconclusive():
+    # P4C at SR: the parked W2 is rolled back as the deadlock victim, so it
+    # never has images and whether it touched P is unknown
+    oh, _ = run_text("PRED(P, reckey=100) IL1(SR) IL2(SR) PR1(P;recval;1;A, X) W2(A, 120) C2"
+                     " W1(A, 130) C1")
+    assert [r.status for r in oh.records if r.op_text.startswith("W2")] == ["BLOCKED", "ABORTED_DEADLOCK"]
+    judgment = analyze_history(oh)
+    assert judgment.verdict is Verdict.INCONCLUSIVE
+    assert [p.cls for p in judgment.pairs if not p.membership_known] == ["pr_w"]
+
+
+def test_second_op_that_failed_without_blocking_pairs_with_nothing():
+    # W2 finds row A already deleted and fails at once: no w_w pair with D1
+    oh, _ = run_text("IL1(RC) IL2(RC) D1(A) C1 W2(A, 5) C2")
+    assert [(r.status, r.error_code) for r in oh.records if r.op_text.startswith("W2")] == [
+        ("ERROR", "RowNotFound")]
+    assert detect_pairs(oh) == []
+
+
 def test_blocked_item_pair_still_detected_without_images():
     # item-on-item pairing needs only the resolved reckey, not images
     oh, _ = run_text("IL1(RR) IL2(RC) R1(A, X) W2(A, 2002)")

@@ -64,6 +64,35 @@ def test_run_reports_a_file_it_cannot_read_or_write(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"cannot write {missing}: ")
 
 
+@pytest.mark.parametrize("command", [["campaign", "--classes", "w_w", "--levels", "RC"], ["gen"]],
+                         ids=["campaign", "gen"])
+def test_an_out_directory_that_cannot_be_made_is_reported(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main([*command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot make directory {out}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_analyze_into_a_closed_pipe_exits_1_and_says_nothing(tmp_path, capsys):
+    hist = tmp_path / "h.hist"
+    hist.write_text("W1(A, 1) C1\n")
+    assert main(["run", str(hist)]) == 0
+    src = str(Path(isoharness.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: its first flush meets a broken pipe
+    try:
+        done = subprocess.run([sys.executable, "-m", "isoharness", "analyze",
+                               str(hist.with_suffix(".outhist"))],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                              stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 @pytest.mark.parametrize("rows", ["150", "0", "-100", "x"])
 @pytest.mark.parametrize("command", [["run", "h.hist"], ["campaign"], ["dataset", "dump"]],
                          ids=["run", "campaign", "dataset"])

@@ -287,6 +287,14 @@ def test_insert_duplicate_key():
         e.insert_item(1, 100, {})
 
 
+def test_insert_rejects_an_unknown_column_before_locking():
+    e = make_engine()
+    e.begin(1, IL.RC)
+    with pytest.raises(UnknownColumn):
+        e.insert_item(1, 350, {"recval": 1, "k7": 0})
+    assert 350 not in e.table.rows and e.lock_events == [] and e.txns[1].undo == []
+
+
 def test_phantom_insert_blocked_at_sr():
     e = make_engine()
     e.begin(1, IL.SR)
@@ -405,6 +413,14 @@ def test_incremental_count_waits_for_insert_then_locks_whole_range():
         ("RELEASE", 2, ItemResource(150), X, LONG, "TERMINATION"),
         ("ACQUIRE", 1, whole, S, LONG, ""),
     ]
+
+
+def test_pr_rejects_an_unknown_column_before_locking():
+    e = make_engine()
+    e.begin(1, IL.RC)
+    with pytest.raises(UnknownColumn):
+        e.predicate_read(1, "P", PRED_K, ("recval", "k7"), 1)
+    assert e.lock_events == [] and e.txns[1].cursors == {}
 
 
 def test_cursor_pool_limit():
@@ -755,6 +771,20 @@ def test_terminated_txns_hold_no_locks():
     e.write_item(2, 300, None)
     e.rollback(2)
     assert held_locks(e, 2) == []
+
+
+@pytest.mark.parametrize("end", ["commit", "rollback"])
+def test_a_transaction_with_a_parked_operation_cannot_end(end):
+    e = make_engine()
+    e.begin(1, IL.RC)
+    e.begin(2, IL.RC)
+    e.write_item(2, 100, {"recval": 1001})
+    reader = OpThread(e.read_item, 1, 100)
+    with pytest.raises(UnknownTxn, match="has a pending operation"):
+        getattr(e, end)(1)
+    assert e.txns[1].status is TxnStatus.BLOCKED and e.request_state(1) == "WAITING"
+    e.commit(2)
+    assert reader.outcome() == 1001
 
 
 def test_commit_unknown_txn():

@@ -387,16 +387,18 @@ def test_a_commit_that_settles_two_requests_gives_one_output(text):
 
 def test_a_request_parked_when_the_run_ends_logs_nothing_afterwards():
     # PR1 holds the short range lock (0, 100] while it waits for T2's write
-    # at 700; the run ends with it parked, and closing it releases nothing
-    oh, mon = run_text("PRED(P, k2=0 and k3=0) MAP(X, 700) IL1(RC) IL2(RC) W2(X)"
-                       " PR1(P;reckey;all)", engine=EngineConfig(lock_scope=LockScope.INCREMENTAL_RANGE))
+    # at 700, and R3 waits for the same write; the run ends with both
+    # parked, and closing them releases nothing
+    oh, mon = run_text("PRED(P, k2=0 and k3=0) MAP(X, 700) IL1(RC) IL2(RC) IL3(RC) W2(X)"
+                       " PR1(P;reckey;all) R3(X, Y)",
+                       engine=EngineConfig(lock_scope=LockScope.INCREMENTAL_RANGE))
     engine = mon.engine
     logged = len(engine.lock_events)
-    assert 1 in mon.parked
+    assert 1 in mon.parked and 3 in mon.parked
     del mon
     gc.collect()
     assert len(engine.lock_events) == logged
-    assert serialize(oh).endswith("# final: 1=BLOCKED 2=ACTIVE\n")
+    assert serialize(oh).endswith("# final: 1=BLOCKED 2=ACTIVE 3=BLOCKED\n")
 
 
 def test_count_reads_the_whole_predicate_beside_a_cursor():
