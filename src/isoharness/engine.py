@@ -8,8 +8,9 @@ Locking policy, which is the whole point of this module:
   * Predicate reads take a shared lock on the predicate (or on key ranges in
     incremental and table scope) that is SHORT at RC/RR and LONG at SR.
     Every predicate read (PR rows, PR count(*), SS) is one scan,
-    ``Engine._scan``, that walks the matches once per fetch; a count(*)
-    and SS read through a cursor of their own that is never stored.
+    ``Engine._scan``; a count(*) and SS read through a cursor of their own
+    that is never stored.  Reads of one expression share its walk: a walk
+    that covers the key list is kept until the table next changes.
   * RU transactions take no locks at all and are read only; write attempts
     fail unless ``ru_writes_allowed`` is set (that flag exists to reproduce
     permissive behavior observed in real systems).
@@ -280,6 +281,8 @@ class Engine:
         self._s_sets: Dict[object, Dict[int, LockRequest]] = {}
         self._waiters: List[LockRequest] = []  # the unsettled requests, in request order
         self._events = count(1)  # the engine's event numbers, in order
+        # Kept walks by compiled test: the table version and the matching keys.
+        self._walks: Dict[Callable[[dict], bool], Tuple[int, List[int]]] = {}
 
     # ------------------------------------------------------------------ txns
 
@@ -684,11 +687,25 @@ class Engine:
 
     def _matches(self, predicate: PredicateExpr, after: int = 0):
         """Keys of the live rows above ``after`` that satisfy the predicate,
-        ascending: one walk of the key list, started by index.  It stands
-        while ``table.version`` is unchanged."""
-        keys, rows, test = self.table.keys, self.table.rows, predicate.test
-        return (key for i in range(bisect_right(keys, after), len(keys))
-                if not (row := rows[(key := keys[i])]).tombstone and test(row.values))
+        ascending; they stand while ``table.version`` is unchanged.  A walk
+        of the key list that starts at the first key and runs to its end at
+        one version is kept, by the predicate's compiled ``test``: later
+        calls at that version take their keys from it and test no row.  A
+        walk that starts later, stops early or sees the table change keeps
+        nothing."""
+        table, test = self.table, predicate.test
+        version, kept = table.version, self._walks.get(test)
+        if kept is not None and kept[0] == version:
+            yield from islice(kept[1], bisect_right(kept[1], after), None)
+            return
+        keys, rows, found = table.keys, table.rows, []
+        start = bisect_right(keys, after)
+        for i in range(start, len(keys)):
+            if not (row := rows[(key := keys[i])]).tombstone and test(row.values):
+                found.append(key)
+                yield key
+        if start == 0 and table.version == version:
+            self._walks[test] = version, found
 
     def _scan_lock_plan(self, st: TxnState, cursor: CursorState, to_key: float):
         """Next range resource needed to cover keys up to ``to_key``, or None."""
@@ -703,11 +720,11 @@ class Engine:
               ) -> Generator[LockRequest, None, list]:
         """The one predicate read, behind PR and SS: rows, or one aggregate
         row, from the cursor's position; with no ``pred_var``, from a cursor
-        of its own that is never stored.  A fetch walks the matches once; a
-        wait for a range lock lets it go on where it stopped unless the table
-        changed meanwhile, and then it walks again from the cursor, so a row
-        that changed is evaluated again.  An aggregate first locks the rest
-        of the key range."""
+        of its own that is never stored.  A fetch takes the matches once,
+        from a kept walk or a new one; a wait for a range lock lets it go on
+        where it stopped unless the table changed meanwhile, and then it
+        walks again from the cursor, so a row that changed is evaluated
+        again.  An aggregate first locks the rest of the key range."""
         drain = row_limit == "all"
         st = self._require_active(txn)
         cursor = CursorState() if pred_var is None else st.cursors.get(pred_var)

@@ -2,6 +2,7 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from isoharness.dataset import build_canonical_table
 from isoharness.engine import (
@@ -991,21 +992,26 @@ def _lines_run_in(code, fn) -> int:
     return lines
 
 
+def _counting(pred) -> list:
+    """Make ``pred``'s compiled test count its calls, in the one-item list
+    returned: the rows it examined."""
+    test, calls = pred.test, [0]
+
+    def counted(values):
+        calls[0] += 1
+        return test(values)
+
+    object.__setattr__(pred, "test", counted)  # this object's test only
+    return calls
+
+
 def _drain(e) -> int:
     """Drain ``k2=0 and k3=0`` in transaction 1; returns the rows examined,
     counted as calls of the predicate's compiled test."""
     pred = parse_predicate("k2=0 and k3=0")
-    test = pred.test
-    examined = 0
-
-    def counted(values):
-        nonlocal examined
-        examined += 1
-        return test(values)
-
-    object.__setattr__(pred, "test", counted)  # this object's test only
+    examined = _counting(pred)
     e.predicate_read(1, "P", pred, ("reckey",), "all")
-    return examined
+    return examined[0]
 
 
 @pytest.mark.parametrize("scope", [LockScope.PREDICATE, LockScope.INCREMENTAL_RANGE])
@@ -1046,6 +1052,137 @@ def test_range_wait_that_changes_the_table_walks_again(changed):
     e.commit(2)
     expected = sorted(({150} | {100 * (i + 1) for i in range(0, 2000, 6)}) - {changed})
     assert [key for key, in drain.outcome()] == expected
+
+
+@pytest.mark.parametrize("scope", list(LockScope))
+def test_reads_of_one_expression_walk_the_table_once(scope):
+    # A drain, a cursor paged twice and drained, count(*) and SS over one
+    # expression: the first drain walks all 2 000 rows and is kept, and the
+    # table does not change, so every later read takes its keys from it.
+    pred = parse_predicate("k2=0 and k3=0")
+    calls = _counting(pred)
+    e = make_engine(2000, scope)
+    e.begin(1, IL.RC)
+    keys = [100 * (i + 1) for i in range(0, 2000, 6)]
+    assert e.predicate_read(1, "P1", pred, ("reckey",), "all") == [(key,) for key in keys]
+    pages = [e.predicate_read(1, "P2", pred, ("recval",), limit) for limit in (100, 100, "all")]
+    assert [len(page) for page in pages] == [100, 100, len(keys) - 200]
+    assert [row for page in pages for row in page] == [(key, 100 * key) for key in keys]
+    assert e.predicate_read(1, "P3", pred, None, "all", "count") == [(len(keys),)]
+    assert e.set_select(1, pred, "sum") == 100 * sum(keys)
+    assert calls[0] == 2000
+
+
+def _in_p(values) -> bool:
+    """``k2=0 and k3=0``, evaluated without the compiled predicate."""
+    return values["k2"] == 0 and values["k3"] == 0
+
+
+@pytest.mark.parametrize("before, change", [
+    ([], lambda e: e.insert_item(2, 150, {"k2": 0, "k3": 0})),  # an uncommitted insert into P
+    ([], lambda e: e.delete_item(2, 700)),  # its tombstone must not match
+    ([], lambda e: e.write_item(2, 700, {"k2": 1})),  # moves 700 out of P
+    ([lambda e: e.write_item(2, 700, {"k2": 1})], lambda e: e.rollback(2)),  # puts 700 back
+    ([lambda e: e.delete_item(2, 700)], lambda e: e.commit(2)),  # drops 700's tombstone
+], ids=["insert", "delete", "move_out", "rollback", "commit_drops"])
+def test_a_change_between_two_reads_makes_the_second_walk_again(before, change):
+    # T1 reads at RU, so it takes no locks and reads T2's changes at once.
+    pred = parse_predicate("k2=0 and k3=0")
+    e = make_engine(200)
+    e.begin(1, IL.RU)
+    e.begin(2, IL.RC)
+    for step in before:
+        step(e)
+    calls = _counting(pred)
+    e.predicate_read(1, "P", pred, ("recval",), "all")
+    change(e)
+    walked = calls[0]
+    second = e.predicate_read(1, "P", pred, ("recval",), "all")
+    live = live_rows(e.table)
+    assert calls[0] - walked == len(live)  # every live row tested again, no tombstone
+    assert second == [(key, values["recval"]) for key, values in sorted(live.items()) if _in_p(values)]
+    assert e.predicate_read(1, "P", pred, ("recval",), "all") == second
+    assert calls[0] - walked == len(live)  # and kept: the third read tested nothing
+
+
+def test_a_fetch_that_stops_early_or_starts_late_keeps_no_walk():
+    # A paged fetch stops before the end of the key list, and a fetch that
+    # resumes from its cursor starts after the first key: neither is kept,
+    # so the count after them walks every row, and the count after that none.
+    pred = parse_predicate("k2=0 and k3=0")
+    calls = _counting(pred)
+    e = make_engine(2000)
+    e.begin(1, IL.RC)
+    examined = []
+    for read in (lambda: e.predicate_read(1, "P", pred, ("reckey",), 100),
+                 lambda: e.predicate_read(1, "P", pred, ("reckey",), "all"),
+                 lambda: e.set_select(1, pred, "count"),
+                 lambda: e.set_select(1, pred, "count")):
+        before = calls[0]
+        read()
+        examined.append(calls[0] - before)
+    assert examined == [595, 1405, 2000, 0]
+
+
+#: T2's changes: W moving a live row into or out of ``k2=0``, I, D, and the
+#: end of T2 by commit or rollback, after which a new T2 begins.  An index
+#: picks a row among the live ones.
+_CHANGES = st.one_of(
+    st.tuples(st.just("W"), st.integers(0, 999), st.integers(0, 1)),
+    st.tuples(st.just("I"), st.integers(0, 1)),
+    st.tuples(st.just("D"), st.integers(0, 999)),
+    st.tuples(st.sampled_from(["C", "A"])),
+)
+#: T1's fetches: a page or a drain of one of two cursors, count(*), SS.
+_FETCHES = st.one_of(
+    st.tuples(st.just("PR"), st.sampled_from(["P1", "P2"]), st.sampled_from([1, 3, 7, "all"])),
+    st.tuples(st.sampled_from(["count", "SS"])),
+)
+
+
+@pytest.mark.parametrize("scope", list(LockScope))
+@seed(1)
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.one_of(_CHANGES, _FETCHES, _FETCHES), max_size=30))
+def test_kept_walks_read_what_a_filter_of_the_live_rows_reads(scope, steps):
+    # PRED variables with one expression share one compiled test, so one
+    # kept walk; every fetch must still read the live rows above its cursor.
+    e = make_engine(200, scope)
+    preds = {var: parse_predicate("k2=0") for var in ("P1", "P2", "P3")}
+    e.begin(1, IL.RU)
+    writer = 2
+    e.begin(writer, IL.RC)
+    cursors = {}
+    for step in steps:
+        live = live_rows(e.table)
+        keys = sorted(live)
+        kind = step[0]
+        if kind == "W":
+            e.write_item(writer, keys[step[1] % len(keys)], {"k2": step[2]})
+        elif kind == "I":
+            e.insert_item(writer, None, {"k2": step[1]})
+        elif kind == "D" and len(keys) > 1:
+            e.delete_item(writer, keys[step[1] % len(keys)])
+        elif kind in ("C", "A"):
+            (e.commit if kind == "C" else e.rollback)(writer)
+            writer += 1
+            e.begin(writer, IL.RC)
+        elif kind == "PR":
+            var, limit = step[1], step[2]
+            above = [(k, live[k]["recval"]) for k in keys
+                     if k > cursors.get(var, 0) and live[k]["k2"] == 0]
+            rows = e.predicate_read(1, var, preds[var], ("recval",), limit)
+            assert rows == (above if limit == "all" else above[:limit])
+            if limit == "all":
+                cursors.pop(var, None)
+            elif rows:
+                cursors[var] = rows[-1][0]
+        elif kind == "count":
+            assert e.predicate_read(1, "P3", preds["P3"], None, "all", "count") == [
+                (sum(live[k]["k2"] == 0 for k in keys),)]
+        elif kind == "SS":
+            assert e.set_select(1, preds["P3"], "sum") == sum(
+                live[k]["recval"] for k in keys if live[k]["k2"] == 0)
 
 
 def test_incremental_drain_conflict_checks_grow_linearly(monkeypatch):
